@@ -43,8 +43,14 @@ class AperySet:
 
 
 def apery_set(semigroup: PSemigroup, modulus: int | None = None) -> AperySet:
-    """Apery set of the semigroup with respect to ``modulus`` (default min generator)."""
+    """Apery set of the semigroup with respect to ``modulus`` (default min generator).
+
+    The least modulus returns the tuple the semigroup was built from; any
+    other generator scans each residue class upwards.
+    """
     a = semigroup.gens.least if modulus is None else modulus
+    if a == semigroup.gens.least:
+        return AperySet(semigroup.gens, a, semigroup.apery)
     if a not in semigroup.gens.elements:
         raise ModulusNotGeneratorError(f"{a} is not one of the generators")
     by_residue = []

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from typing import Callable
 
 from .core import (
     GeneratorTuple,
@@ -20,7 +21,12 @@ from .core import (
     ValidationError,
     validate_generators,
 )
-from .enumeration import build_psemigroup, denumerant_oracle, denumerant_table
+from .enumeration import (
+    build_psemigroup,
+    denumerant_oracle,
+    denumerant_table,
+    membership_oracle,
+)
 from .apery import apery_set
 from .closed_forms import two_var_membership
 from .hilbert import gaps_series, hilbert_direct, hilbert_from_apery
@@ -237,6 +243,8 @@ def cmd_hilbert(args) -> int:
     member_series = hilbert_direct(semigroup, trunc)
     gap_series = gaps_series(semigroup, trunc)
     if args.verify:
+        if membership_oracle(gens, p, semigroup.frontier) != semigroup.membership:
+            raise InternalConsistencyError("count table disagrees with the Apery tuple")
         from_apery = hilbert_from_apery(apery_set(semigroup), trunc)
         if from_apery != member_series:
             raise InternalConsistencyError("Apery Hilbert series != direct series")
@@ -363,39 +371,55 @@ def cmd_batch(args) -> int:
         with open(args.jobs, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
     saw_validation = saw_internal = False
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
         try:
-            job = json.loads(line)
-            command = job.get("command", "invariants")
-            handler = _BATCH_COMMANDS.get(command)
-            if handler is None:
-                raise ValidationError(f"unknown batch command {command!r}")
-            handler(_job_namespace(job))
+            handler, namespace = _parse_job(line)
+            handler(namespace)
         except (ValidationError, json.JSONDecodeError) as exc:
-            print(canonical_json({"error": str(exc), "exit": 2}))
+            print(canonical_json({"error": str(exc), "exit": 2, "line": number}))
             saw_validation = True
         except InternalConsistencyError as exc:
-            print(canonical_json({"error": str(exc), "exit": 1}))
+            print(canonical_json({"error": str(exc), "exit": 1, "line": number}))
             saw_internal = True
     if saw_internal:
         return 1
     return 2 if saw_validation else 0
 
 
+# Integer job fields and their defaults; None means "use the command's default".
+_INT_FIELDS = {"n": 0, "mu": 3, "trunc": None}
+
+
+def _parse_job(line: str) -> tuple[Callable[[argparse.Namespace], int], argparse.Namespace]:
+    """The handler and argument namespace for one batch line, or ValidationError."""
+    job = json.loads(line)
+    if not isinstance(job, dict):
+        raise ValidationError("batch job must be a JSON object")
+    command = job.get("command", "invariants")
+    handler = _BATCH_COMMANDS.get(command) if isinstance(command, str) else None
+    if handler is None:
+        raise ValidationError(f"unknown batch command {command!r}")
+    return handler, _job_namespace(job)
+
+
 def _job_namespace(job: dict) -> argparse.Namespace:
     gens = job.get("gens")
     if not isinstance(gens, list):
         raise ValidationError("batch job needs a 'gens' list")
+    ints = {}
+    for key, default in _INT_FIELDS.items():
+        value = job.get(key, default)
+        if value is not default and type(value) is not int:
+            raise ValidationError(f"batch job field {key!r} must be an integer, got {value!r}")
+        ints[key] = value
     p_value = job.get("p", 0)
     return argparse.Namespace(
         gens=",".join(str(g) for g in gens),
         p=str(p_value),
-        n=job.get("n", 0),
-        mu=job.get("mu", 3),
-        trunc=job.get("trunc"),
+        **ints,
         verify=bool(job.get("verify", False)),
         quiet=True,
         json=True,

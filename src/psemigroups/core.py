@@ -124,12 +124,13 @@ def validate_generators(raw: Sequence[int]) -> GeneratorTuple:
 
 @dataclass(frozen=True)
 class PSemigroup:
-    """Membership table for the integers with more than ``p`` representations.
+    """The integers with more than ``p`` representations, from their Apery tuple.
 
-    ``membership[n]`` answers n < frontier; every n >= frontier is a member.
-    The frontier is certified by a run of min(gens) consecutive members just
-    below it: adding one more copy of the least generator never removes
-    representations, so the run propagates to every larger integer.
+    ``apery[j]`` is the least member congruent to j modulo a1 = min(gens);
+    every class is closed under adding a1, so the tuple decides membership.
+    ``membership[n]`` is the same answer tabulated for n < frontier, where
+    ``frontier`` is one past the a1 consecutive members that follow the
+    Frobenius number; every n >= frontier is a member.
 
     ``least_element`` is the least member (0 exactly when p = 0) and
     ``frobenius`` the largest non-member (-1 when there are no gaps at all).
@@ -141,6 +142,7 @@ class PSemigroup:
     frontier: int
     least_element: int
     frobenius: int
+    apery: tuple[int, ...]
 
     def contains(self, n: int) -> bool:
         if n < 0:

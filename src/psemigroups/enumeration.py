@@ -1,16 +1,21 @@
-"""Denumerant tables, membership construction, and set-level derived data.
+"""Apery-first membership construction, denumerant tables and derived data.
 
-The membership builder extends a saturating representation-count table until
-min(gens) consecutive integers all clear the threshold; count monotonicity
-under adding a generator makes that run a certificate that every larger
-integer is a member.  The loose product bound on the frontier is
-astronomically larger for three or more generators, so it is never used.
+A p-semigroup is built from its Apery tuple modulo a1 = min(gens): the
+least member of residue class j is the (p+1)-th smallest multiset sum of
+a2..ak in that class, found by a shortest-path search whose cost does not
+depend on the Frobenius number.  The membership bytes, the Frobenius number,
+the least element and the minimal generators all follow from the tuple.
+The coin-counting table survives as the denumerant evaluator and, run up to
+the frontier, as the membership oracle for tests and ``--verify``; the
+definitional minimal-generator scan is kept as an oracle the same way.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from operator import add
 
 from .core import (
     GeneratorTuple,
@@ -34,6 +39,16 @@ def _table_cap() -> int:
     if cap < 1:
         raise ValidationError(f"{TABLE_LIMIT_ENV} must be positive")
     return cap
+
+
+def _check_table_size(entries: int, what: str) -> None:
+    """Reject a table of ``entries`` entries that the size cap does not allow."""
+    cap = _table_cap()
+    if entries > cap:
+        raise TableLimitError(
+            f"{what} needs {entries} entries, more than the {cap} allowed "
+            f"(raise {TABLE_LIMIT_ENV} to allow it)"
+        )
 
 
 def _count_table(gens: tuple[int, ...], limit: int, cap: int | None = None) -> list[int]:
@@ -67,6 +82,7 @@ class DenumerantTable:
 def denumerant_table(gens: GeneratorTuple, limit: int) -> DenumerantTable:
     if limit < 0:
         raise ValidationError("table limit must be non-negative")
+    _check_table_size(limit + 1, "the denumerant table")
     return DenumerantTable(gens, limit, tuple(_count_table(gens.elements, limit)))
 
 
@@ -93,60 +109,86 @@ def denumerant_oracle(gens: GeneratorTuple, n: int) -> int:
     return count(0, n)
 
 
-def _member_run_start(counts: list[int], p: int, run: int) -> int | None:
-    """First index of ``run`` consecutive entries with count > p, else None."""
-    streak = 0
-    for n, c in enumerate(counts):
-        if c > p:
-            streak += 1
-            if streak == run:
-                return n - run + 1
-        else:
-            streak = 0
-    return None
+def _apery_tuple(elements: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Least member per residue class mod a1, by (p+1)-shortest multiset sums.
+
+    n has d(n) > p iff at least p+1 multisets of a2..ak have sum <= n in the
+    class of n (each one is completed by copies of a1), so the Apery element
+    of class j is the (p+1)-th smallest such sum.  A Dijkstra search over the
+    states (residue, index of the last generator) enumerates the sums in
+    ascending order; extending only by indices >= the last one visits each
+    multiset once, and a state popped p+1 times is done, because any longer
+    path through it is beaten by p+1 others with the same continuation.
+    """
+    a1, rest = elements[0], elements[1:]
+    m = len(rest)
+    width = a1 * m
+    need = p + 1
+    visits = [0] * width
+    seen = [0] * a1
+    ap = [0] * a1
+    left = a1
+    heap = [0]  # key sum * width + residue * m + last index; the empty multiset
+    while left:
+        s, state = divmod(heappop(heap), width)
+        if visits[state] == need:
+            continue
+        visits[state] += 1
+        r, i = divmod(state, m)
+        seen[r] += 1
+        if seen[r] == need:
+            ap[r] = s
+            left -= 1
+        for j in range(i, m):
+            g = rest[j]
+            nxt = ((r + g) % a1) * m + j
+            if visits[nxt] < need:
+                heappush(heap, (s + g) * width + nxt)
+    return tuple(ap)
 
 
 def build_psemigroup(gens: GeneratorTuple, p: int) -> PSemigroup:
-    """Membership table with a certified frontier for threshold ``p``.
+    """The p-semigroup of ``gens``, built from its Apery tuple mod a1.
 
-    Grows the table geometrically from max(sum(gens), (p+1)*a1*a2) until a
-    run of a1 = min(gens) consecutive members appears; the frontier is the
-    index one past that run.
+    The search pops each of its a1*(k-1) states at most p+1 times, so its
+    work is known before it starts and is checked against the size cap; the
+    frontier, one past the a1 members that follow the Frobenius number, is
+    checked before the membership bytes are allocated.  The bytes take one
+    slice assignment per residue class.
     """
     if p < 0:
         raise ValidationError("p must be non-negative")
     elements = gens.elements
-    a1, a2 = elements[0], elements[1]
-    max_entries = _table_cap()
-    limit = max(sum(elements), (p + 1) * a1 * a2, 64)
-    while True:
-        limit = min(limit, max_entries - 1)
-        counts = _count_table(elements, limit, cap=p + 1)
-        run_start = _member_run_start(counts, p, a1)
-        if run_start is not None:
-            break
-        if limit >= max_entries - 1:
-            raise TableLimitError(
-                f"membership table needs more than {max_entries} entries "
-                f"(raise {TABLE_LIMIT_ENV} to allow it)"
-            )
-        limit *= 2
-    frontier = run_start + a1
-    membership = bytes(1 if counts[n] > p else 0 for n in range(frontier))
-    least = membership.index(1)
-    frobenius = -1
-    for n in range(frontier - 1, -1, -1):
-        if not membership[n]:
-            frobenius = n
-            break
+    a1 = elements[0]
+    _check_table_size(a1 * (len(elements) - 1) * (p + 1), "the Apery search")
+    ap = _apery_tuple(elements, p)
+    frobenius = max(ap) - a1
+    frontier = frobenius + 1 + a1
+    _check_table_size(frontier, "the membership table")
+    membership = bytearray(frontier)
+    for start in ap:
+        membership[start::a1] = b"\x01" * len(range(start, frontier, a1))
     return PSemigroup(
         gens=gens,
         p=p,
-        membership=membership,
+        membership=bytes(membership),
         frontier=frontier,
-        least_element=least,
+        least_element=min(ap),
         frobenius=frobenius,
+        apery=ap,
     )
+
+
+def membership_oracle(gens: GeneratorTuple, p: int, limit: int) -> bytes:
+    """Oracle: membership bytes for 0..limit-1 from the saturating count table.
+
+    Shares nothing with the Apery search.  Run up to the frontier it must
+    equal ``PSemigroup.membership``, whose last a1 entries are all members:
+    the run that certifies every larger integer, since adding a1 never
+    removes a representation.
+    """
+    counts = _count_table(gens.elements, limit - 1, cap=p + 1)
+    return bytes(1 if c > p else 0 for c in counts)
 
 
 def gaps(semigroup: PSemigroup) -> list[int]:
@@ -155,8 +197,32 @@ def gaps(semigroup: PSemigroup) -> list[int]:
     return [n for n in range(semigroup.frontier) if not table[n]]
 
 
+def _positive_apery(semigroup: PSemigroup) -> list[int]:
+    """Least positive member per residue class mod a1 (a1 itself for class 0 when p = 0)."""
+    a1 = semigroup.gens.least
+    return [m if m else a1 for m in semigroup.apery]
+
+
 def minimal_generators(semigroup: PSemigroup) -> list[int]:
     """Minimal monoid generators of the members with 0 adjoined.
+
+    With pos[r] the least positive member of class r, the sums of two
+    positive members in class r are exactly the integers of that class from
+    min_i pos[i] + pos[r - i] on, because every class is closed under adding
+    a1.  The minimal generators of class r are the members below that bound.
+    """
+    a1 = semigroup.gens.least
+    pos = _positive_apery(semigroup)
+    out = []
+    for r in range(a1):
+        partners = pos[r::-1] + pos[:r:-1]  # partners[i] = pos[(r - i) % a1]
+        bound = min(map(add, pos, partners))
+        out.extend(range(pos[r], bound, a1))
+    return sorted(out)
+
+
+def minimal_generators_scan(semigroup: PSemigroup) -> list[int]:
+    """Oracle for ``minimal_generators``: the definitional scan.
 
     A member is minimal iff it is not the sum of two positive members.  All
     minimal generators lie in [m, frobenius + m] for the least positive

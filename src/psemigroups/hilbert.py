@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .core import InternalConsistencyError, PSemigroup, ValidationError
 from .apery import AperySet
 from .closed_forms import _check_arith
+from .enumeration import _check_table_size
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,7 @@ def finite_geometric(step: int, terms: int, truncation: int) -> PowerSeries:
 def _check_truncation(n: int) -> None:
     if n < 0:
         raise ValidationError("truncation must be non-negative")
+    _check_table_size(n + 1, "the truncated series")
 
 
 def hilbert_direct(semigroup: PSemigroup, truncation: int) -> PowerSeries:

@@ -2,7 +2,8 @@
 
 The report always cross-checks the Apery-formula invariants against the
 gap-derived ones (they are cheap and provably equal); ``verify=True`` adds
-the heavier re-derivations: brute-force power sums, three-way
+the heavier re-derivations: membership from the count table, the scanned
+minimal generators and valuation lengths, brute-force power sums, three-way
 pseudo-Frobenius agreement, the Hilbert factorization identity, and the
 matching closed forms when the generator tuple has one.
 """
@@ -13,7 +14,13 @@ from dataclasses import dataclass
 from math import gcd
 
 from .core import GeneratorTuple, InternalConsistencyError, PSemigroup
-from .enumeration import build_psemigroup, gaps, minimal_generators
+from .enumeration import (
+    build_psemigroup,
+    gaps,
+    membership_oracle,
+    minimal_generators,
+    minimal_generators_scan,
+)
 from .apery import (
     AperySet,
     apery_set,
@@ -28,6 +35,7 @@ from .symmetry import (
     pf_via_apery_maximals,
     pf_via_gap_maximals,
     pseudo_frobenius,
+    valuation_lengths_scan,
 )
 from .hilbert import gaps_series, hilbert_direct, hilbert_from_apery
 from .closed_forms import arith_invariants, two_var_invariants
@@ -55,6 +63,15 @@ def _mismatch(what: str, formula, enumerated, semigroup: PSemigroup) -> None:
 
 
 def _verify_extras(semigroup: PSemigroup, report: InvariantReport, gap_list: list[int]) -> None:
+    if membership_oracle(semigroup.gens, semigroup.p, semigroup.frontier) != semigroup.membership:
+        _mismatch("membership", "Apery tuple", "count table", semigroup)
+    fast, scanned = minimal_generators(semigroup), minimal_generators_scan(semigroup)
+    if fast != scanned:
+        _mismatch("minimal generators", fast, scanned, semigroup)
+    if semigroup.p >= 1:
+        valuation, scanned = report.classification.valuation, valuation_lengths_scan(semigroup)
+        if valuation != scanned:
+            _mismatch("valuation lengths", valuation, scanned, semigroup)
     for mu, value in report.power_sums:
         brute = sum(n**mu for n in gap_list)
         if value != brute:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .core import InternalConsistencyError, PSemigroup, ValidationError
 from .apery import apery_set
-from .enumeration import gaps
+from .enumeration import _positive_apery, gaps
 
 
 @dataclass(frozen=True)
@@ -182,8 +182,20 @@ def valuation_lengths(semigroup: PSemigroup) -> tuple[int, int, int]:
     """Chain-length counts (d1, d2, d3) for the associated valuation picture.
 
     d3 counts members in [1, frobenius + least]; d1 = d3 + 1 and
-    d2 = frobenius + least + 1.
+    d2 = frobenius + least + 1.  The members of class r in that window run
+    from its least positive member up in steps of a1, so each class is
+    counted in one step.
     """
+    if semigroup.p < 1:
+        raise ValidationError("valuation lengths are defined for p >= 1")
+    a1 = semigroup.gens.least
+    total = semigroup.frobenius + semigroup.least_element
+    d3 = sum((total - m) // a1 + 1 for m in _positive_apery(semigroup) if m <= total)
+    return (d3 + 1, total + 1, d3)
+
+
+def valuation_lengths_scan(semigroup: PSemigroup) -> tuple[int, int, int]:
+    """Oracle for ``valuation_lengths``: counts the members one by one."""
     if semigroup.p < 1:
         raise ValidationError("valuation lengths are defined for p >= 1")
     total = semigroup.frobenius + semigroup.least_element

@@ -211,3 +211,53 @@ def test_table_cap_env(capsys, monkeypatch):
     code, _, err = run(capsys, ["invariants", "--gens", "3,10,17", "-p", "6"])
     assert code == 2
     assert "PSG_MAX_TABLE" in err
+
+
+def test_batch_rejects_malformed_jobs(capsys, monkeypatch):
+    import io as _io
+
+    lines = [
+        "[3,5]",
+        json.dumps({"command": "membership", "gens": [3, 5], "n": "7"}),
+        json.dumps({"command": "membership", "gens": [3, 5], "n": True}),
+        json.dumps({"command": "invariants", "gens": [3, 5], "mu": "x"}),
+        json.dumps({"command": "hilbert", "gens": [3, 5], "trunc": 2.5}),
+        json.dumps({"command": ["invariants"], "gens": [3, 5]}),
+        "{not json",
+        json.dumps({"command": "denumerant", "gens": [2, 5, 7], "n": 43}),
+    ]
+    monkeypatch.setattr("sys.stdin", _io.StringIO("\n".join(lines)))
+    code = main(["batch", "-"])
+    captured = capsys.readouterr()
+    out = [json.loads(line) for line in captured.out.splitlines()]
+    assert code == 2
+    assert "Traceback" not in captured.err
+    assert len(out) == len(lines)
+    for number, row in enumerate(out[:-1], 1):
+        assert row["exit"] == 2 and row["line"] == number and row["error"]
+    assert out[-1]["denumerant"] == "17"
+
+
+def test_batch_line_numbers_count_blank_lines(capsys, tmp_path):
+    path = tmp_path / "jobs.jsonl"
+    path.write_text("\n".join(["", json.dumps({"gens": [4, 6]}), "", "7"]) + "\n")
+    code = main(["batch", str(path)])
+    out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == 2
+    assert [row["line"] for row in out] == [2, 4]
+
+
+def test_table_cap_bounds_user_sized_tables(capsys, monkeypatch):
+    monkeypatch.setenv("PSG_MAX_TABLE", "1000")
+    for argv in [
+        ["denumerant", "--gens", "2,3", "-n", "5000000"],
+        ["membership", "--gens", "2,3", "-n", "5000000", "-p", "1"],
+        ["hilbert", "--gens", "3,5", "--trunc", "3000000"],
+    ]:
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "PSG_MAX_TABLE" in err
+    code, out, _ = run(capsys, ["hilbert", "--gens", "3,5", "--trunc", "999", "--json"])
+    assert code == 0
+    assert json.loads(out)["truncation"] == 999

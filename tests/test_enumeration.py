@@ -1,5 +1,6 @@
 from functools import reduce
 from math import gcd
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,14 +8,22 @@ from hypothesis import strategies as st
 
 from psemigroups import (
     TableLimitError,
+    apery_set,
     build_psemigroup,
     denumerant_oracle,
     denumerant_table,
+    frobenius_from_apery,
     gaps,
+    genus_from_apery,
+    membership_oracle,
     minimal_generators,
+    minimal_generators_scan,
     validate_generators,
+    valuation_lengths,
+    valuation_lengths_scan,
 )
 from psemigroups.decompose import FiniteSemigroup
+from psemigroups.enumeration import _count_table
 
 T31017 = (3, 10, 17)
 
@@ -160,6 +169,46 @@ def test_table_limit_env(monkeypatch):
         build_psemigroup(validate_generators([2, 3]), 0)
 
 
+def test_table_limit_bounds_apery_search(monkeypatch):
+    # the search for (3, 10, 17) at p = 5 pops at most 3 * 2 * 6 = 36 states
+    monkeypatch.setenv("PSG_MAX_TABLE", "35")
+    with pytest.raises(TableLimitError, match="Apery search"):
+        build_psemigroup(validate_generators([3, 10, 17]), 5)
+
+
+def test_denumerant_table_limit(monkeypatch):
+    monkeypatch.setenv("PSG_MAX_TABLE", "1000")
+    gens = validate_generators([2, 3])
+    assert denumerant_table(gens, 999).counts[999] == denumerant_oracle(gens, 999)
+    with pytest.raises(TableLimitError):
+        denumerant_table(gens, 1000)
+
+
+SCALE_CASE = ((1009, 1201, 1499), 50)
+
+
+def test_scale_case_invariants_agree():
+    raw, p = SCALE_CASE
+    start = perf_counter()
+    S = build_psemigroup(validate_generators(list(raw)), p)
+    ap = apery_set(S)
+    assert frobenius_from_apery(ap) == S.frobenius == S.membership.rindex(0) == 441384
+    assert genus_from_apery(ap) == S.gap_count
+    assert S.frontier == S.frobenius + 1 + raw[0]
+    assert perf_counter() - start < 2.0
+
+
+def test_scale_case_table_limit(monkeypatch):
+    raw, p = SCALE_CASE
+    gens = validate_generators(list(raw))
+    frontier = 441384 + 1 + raw[0]
+    monkeypatch.setenv("PSG_MAX_TABLE", str(frontier - 1))
+    with pytest.raises(TableLimitError, match="membership table"):
+        build_psemigroup(gens, p)
+    monkeypatch.setenv("PSG_MAX_TABLE", str(frontier))
+    assert build_psemigroup(gens, p).frontier == frontier
+
+
 gen_lists = (
     st.lists(st.integers(min_value=2, max_value=25), min_size=2, max_size=4)
     .map(lambda xs: sorted(set(xs)))
@@ -187,3 +236,38 @@ def test_random_semigroup_consistency(raw, p):
     assert S.frobenius == (gap_list[-1] if gap_list else -1)
     assert S.contains(S.least_element)
     assert not S.contains(S.least_element - 1) or S.least_element == 0
+
+
+@pytest.mark.parametrize(
+    "raw, p",
+    # a1 = 1, no gaps at all, non-coprime pairs, a generator that is 2 * a1
+    [((1, 2), 0), ((1, 2), 3), ((2, 3), 0), ((4, 6, 9), 2), ((3, 5, 6), 4)],
+)
+def test_apery_build_edge_cases(raw, p):
+    gens = validate_generators(list(raw))
+    S = build_psemigroup(gens, p)
+    assert S.membership == membership_oracle(gens, p, S.frontier)
+    assert S.frontier == S.frobenius + 1 + gens.least
+    assert minimal_generators(S) == minimal_generators_scan(S)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gen_lists, st.integers(min_value=0, max_value=8))
+def test_apery_build_matches_count_table(raw, p):
+    gens = validate_generators(raw)
+    S = build_psemigroup(gens, p)
+    counts = _count_table(gens.elements, S.frontier - 1)
+    assert S.membership == bytes(1 if c > p else 0 for c in counts)
+    # the last a1 entries are members, which certifies every larger integer
+    assert all(c > p for c in counts[-gens.least :])
+    assert S.least_element == S.membership.index(1)
+    assert S.frobenius == (S.membership.rindex(0) if 0 in S.membership else -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gen_lists, st.integers(min_value=0, max_value=8))
+def test_apery_derived_invariants_match_scans(raw, p):
+    S = build_psemigroup(validate_generators(raw), p)
+    assert minimal_generators(S) == minimal_generators_scan(S)
+    if p >= 1:
+        assert valuation_lengths(S) == valuation_lengths_scan(S)
