@@ -21,6 +21,7 @@ from .core import (
     NonIntegerResultError,
     PSemigroup,
     ValidationError,
+    _exact_int,
 )
 
 
@@ -67,12 +68,6 @@ def _require_least_modulus(ap: AperySet) -> None:
         raise ValidationError(
             "derived invariants require the least generator as Apery modulus"
         )
-
-
-def _exact_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise NonIntegerResultError(f"{what} evaluated to non-integer {value}")
-    return value.numerator
 
 
 def frobenius_from_apery(ap: AperySet) -> int:

@@ -26,6 +26,7 @@ from .enumeration import (
     denumerant_oracle,
     denumerant_table,
     membership_oracle,
+    minimal_generators_scan,
 )
 from .apery import apery_set
 from .closed_forms import two_var_membership
@@ -330,7 +331,7 @@ def cmd_decompose(args) -> int:
     for component in components:
         payload.append(
             {
-                "generators": component.minimal_generator_list(),
+                "generators": minimal_generators_scan(component),
                 "frobenius": component.frobenius,
                 "genus": component.genus,
                 "irreducible": is_irreducible_classic(component),

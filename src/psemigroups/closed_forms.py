@@ -19,18 +19,12 @@ from .core import (
     GeneratorTuple,
     InternalConsistencyError,
     NoCoprimeElementError,
-    NonIntegerResultError,
     OutOfValidityRangeError,
     ValidationError,
+    _exact_int,
     validate_generators,
 )
 from .enumeration import build_psemigroup
-
-
-def _exact_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise NonIntegerResultError(f"{what} evaluated to non-integer {value}")
-    return value.numerator
 
 
 def _check_two_var(a: int, b: int) -> None:

@@ -8,8 +8,10 @@ share across threads without synchronization.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from math import gcd
+from fractions import Fraction
+from math import gcd, inf
 from typing import Iterator, Sequence
 
 
@@ -53,6 +55,39 @@ class NonIntegerResultError(InternalConsistencyError):
     """An always-integral formula produced a non-integer."""
 
 
+def _exact_int(value: Fraction, what: str) -> int:
+    if value.denominator != 1:
+        raise NonIntegerResultError(f"{what} evaluated to non-integer {value}")
+    return value.numerator
+
+
+DEFAULT_TABLE_LIMIT = 10**8
+TABLE_LIMIT_ENV = "PSG_MAX_TABLE"
+
+
+def _table_cap() -> int:
+    raw = os.environ.get(TABLE_LIMIT_ENV)
+    if raw is None:
+        return DEFAULT_TABLE_LIMIT
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValidationError(f"{TABLE_LIMIT_ENV}={raw!r} is not an integer") from None
+    if cap < 1:
+        raise ValidationError(f"{TABLE_LIMIT_ENV} must be positive")
+    return cap
+
+
+def _check_table_size(entries: int, what: str) -> None:
+    """Reject a table of ``entries`` entries that the size cap does not allow."""
+    cap = _table_cap()
+    if entries > cap:
+        raise TableLimitError(
+            f"{what} needs {entries} entries, more than the {cap} allowed "
+            f"(raise {TABLE_LIMIT_ENV} to allow it)"
+        )
+
+
 @dataclass(frozen=True)
 class GeneratorTuple:
     """Strictly ascending positive integers with overall gcd 1.
@@ -79,7 +114,11 @@ class GeneratorTuple:
 
 
 def _representable(target: int, gens: Sequence[int]) -> bool:
-    """Is ``target`` a non-negative combination of ``gens``?"""
+    """Is ``target`` a non-negative combination of ``gens``?
+
+    Oracle for the minimality check in ``validate_generators``; it fills a
+    table of ``target + 1`` entries, so only tests call it.
+    """
     reachable = bytearray(target + 1)
     reachable[0] = 1
     for a in gens:
@@ -95,7 +134,8 @@ def validate_generators(raw: Sequence[int]) -> GeneratorTuple:
     Raises on empty input, non-positive entries, fewer than two distinct
     elements, or gcd > 1.  A non-minimal generating set is *not* an error:
     minimality is checked (element redundant iff representable by the
-    others) and recorded on the returned tuple.
+    others) and recorded on the returned tuple.  The check keeps one table
+    entry per residue class modulo the least generator, within the size cap.
     """
     values = list(raw)
     if not values:
@@ -113,13 +153,35 @@ def validate_generators(raw: Sequence[int]) -> GeneratorTuple:
         g = gcd(g, v)
     if g != 1:
         raise GcdNotOneError(f"gcd of generators is {g}, expected 1")
-    minimal = True
-    for i, a in enumerate(elements):
-        rest = elements[:i] + elements[i + 1 :]
-        if _representable(a, rest):
-            minimal = False
-            break
-    return GeneratorTuple(elements, minimal=minimal, minimality_checked=True)
+    _check_table_size(elements[0], "the minimality table")
+    return GeneratorTuple(elements, minimal=_is_minimal(elements), minimality_checked=True)
+
+
+def _is_minimal(elements: tuple[int, ...]) -> bool:
+    """Is no generator a combination of the smaller ones?
+
+    ``least[r]`` is the least combination of the generators taken so far
+    that is congruent to r modulo a1, so the next generator a is redundant
+    iff least[a % a1] <= a.  Taking a walks each of the gcd(a1, a) residue
+    cycles of step a once, from its smallest entry, which no new path can
+    improve (the round-robin update of Boecker and Liptak, Algorithmica 48,
+    2007): O(a1) per generator.
+    """
+    a1, last = elements[0], elements[-1]
+    least = [0] + [inf] * (a1 - 1)  # inf: no combination in this class yet
+    for a in elements[1:-1]:
+        if least[a % a1] <= a:
+            return False
+        d = gcd(a1, a)
+        for start in range(d):
+            n = min(least[start::d])
+            if n == inf:
+                continue
+            for _ in range(a1 // d - 1):
+                n += a
+                r = n % a1
+                n = least[r] = min(n, least[r])
+    return least[last % a1] > last
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 """Ordinary numerical semigroups and irreducible intersection decompositions.
 
 A semigroup is stored as a canonical membership table trimmed at its
-Frobenius number, so structural equality and hashing just work.  The
-decomposition walks the uncovered gaps from the top: for each one it
-greedily completes the semigroup to an irreducible oversemigroup avoiding
-that gap (keep adjoining other special gaps until none remain, which pins
-the Frobenius number there and forces maximality).
+Frobenius number, so structural equality and hashing just work.  It reads
+like a ``PSemigroup`` whose least element is 0, so gaps, pseudo-Frobenius
+numbers, the window pairing and the minimal-generator scan are the shared
+functions of ``enumeration`` and ``symmetry``.  The decomposition walks the
+uncovered gaps from the top: for each one it greedily completes the
+semigroup to an irreducible oversemigroup avoiding that gap (keep adjoining
+other special gaps until none remain, which pins the Frobenius number there
+and forces maximality).
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import InternalConsistencyError, PSemigroup, ValidationError, validate_generators
-from .enumeration import build_psemigroup
+from .enumeration import build_psemigroup, gaps
+from .symmetry import _pairs_exactly_one, pseudo_frobenius
 
 
 @dataclass(frozen=True)
@@ -22,10 +26,11 @@ class FiniteSemigroup:
 
     ``membership`` covers 0..frobenius and ends with a 0 byte (the Frobenius
     number); everything past it is a member.  The empty table is the full
-    monoid.
+    monoid.  ``least_element`` is 0, as for a ``PSemigroup`` with p = 0.
     """
 
     membership: bytes
+    least_element = 0
 
     @staticmethod
     def from_table(table: bytes | bytearray) -> "FiniteSemigroup":
@@ -34,11 +39,8 @@ class FiniteSemigroup:
     @staticmethod
     def from_psemigroup(semigroup: PSemigroup) -> "FiniteSemigroup":
         """The members with 0 adjoined, as an ordinary numerical semigroup."""
-        top = semigroup.frobenius + 1
         return FiniteSemigroup.from_table(
-            bytes(
-                1 if (n == 0 or semigroup.contains(n)) else 0 for n in range(top)
-            )
+            b"\x01" + semigroup.membership[1 : semigroup.frobenius + 1]
         )
 
     @staticmethod
@@ -60,16 +62,10 @@ class FiniteSemigroup:
     def genus(self) -> int:
         return self.membership.count(0)
 
-    def gap_list(self) -> list[int]:
-        return [n for n in range(len(self.membership)) if not self.membership[n]]
-
     @property
     def multiplicity(self) -> int:
         """Least positive member (1 for the full monoid)."""
-        m = 1
-        while not self.contains(m):
-            m += 1
-        return m
+        return (self.membership + b"\x01\x01").find(1, 1)
 
     def with_member(self, h: int) -> "FiniteSemigroup":
         """Adjoin one element (no closure check; callers pass special gaps)."""
@@ -81,44 +77,10 @@ class FiniteSemigroup:
         table[h] = 1
         return FiniteSemigroup.from_table(table)
 
-    def pseudo_frobenius_numbers(self) -> list[int]:
-        """Gaps x with x + s inside for every positive member s."""
-        g = self.frobenius
-        members = [s for s in range(1, g + 1) if self.contains(s)]
-        out = []
-        for x in self.gap_list():
-            ok = True
-            for s in members:
-                if s > g - x:
-                    break
-                if not self.contains(x + s):
-                    ok = False
-                    break
-            if ok:
-                out.append(x)
-        return out
-
     def special_gaps(self) -> list[int]:
         """Pseudo-Frobenius numbers whose double is a member; exactly the
         gaps whose adjunction keeps the set additively closed."""
-        return [x for x in self.pseudo_frobenius_numbers() if self.contains(2 * x)]
-
-    def minimal_generator_list(self) -> list[int]:
-        mu = self.multiplicity
-        top = max(self.frobenius + mu, mu)
-        members = [n for n in range(mu, top + 1) if self.contains(n)]
-        out = []
-        for m in members:
-            decomposable = False
-            for s in members:
-                if 2 * s > m:
-                    break
-                if self.contains(m - s):
-                    decomposable = True
-                    break
-            if not decomposable:
-                out.append(m)
-        return out
+        return [x for x in pseudo_frobenius(self) if self.contains(2 * x)]
 
 
 def is_subsemigroup(inner: FiniteSemigroup, outer: FiniteSemigroup) -> bool:
@@ -137,42 +99,21 @@ def intersect(components: list[FiniteSemigroup]) -> FiniteSemigroup:
     )
 
 
-def _pairs_exactly_one(contains, total: int, skip_mid: bool) -> bool:
-    for x in range(total // 2 + 1):
-        y = total - x
-        if x == y and skip_mid:
-            continue
-        if contains(x) == contains(y):
-            return False
-    return True
-
-
 def is_irreducible_classic(semigroup: FiniteSemigroup) -> bool:
     """Symmetric or pseudo-symmetric in the ordinary sense (pairing at the
     Frobenius number), equivalently not an intersection of two proper
     oversemigroups."""
-    g = semigroup.frobenius
-    if g < 0:
-        return True
-    if g % 2 == 1:
-        return _pairs_exactly_one(semigroup.contains, g, skip_mid=False)
-    return _pairs_exactly_one(semigroup.contains, g, skip_mid=True)
+    return _pairs_exactly_one(semigroup.membership, semigroup.frobenius, skip_mid=True)
 
 
 def is_irreducible_shifted(semigroup: FiniteSemigroup) -> bool:
     """Irreducibility of the positive part, pairing anchored at
     multiplicity + Frobenius with 0 treated as a gap."""
-    g = semigroup.frobenius
-    if g < 0:
-        return True
-    total = g + semigroup.multiplicity
-
-    def member(n: int) -> bool:
-        return n > 0 and semigroup.contains(n)
-
-    if total % 2 == 1:
-        return _pairs_exactly_one(member, total, skip_mid=False)
-    return _pairs_exactly_one(member, total, skip_mid=True)
+    return _pairs_exactly_one(
+        b"\x00" + semigroup.membership[1:],
+        semigroup.frobenius + semigroup.multiplicity,
+        skip_mid=True,
+    )
 
 
 def irreducible_oversemigroup_avoiding(
@@ -210,7 +151,7 @@ def irreducible_decomposition(semigroup: FiniteSemigroup) -> list[FiniteSemigrou
     if is_irreducible_classic(semigroup):
         return [semigroup]
     components: list[FiniteSemigroup] = []
-    uncovered = set(semigroup.gap_list())
+    uncovered = set(gaps(semigroup))
     while uncovered:
         target = max(uncovered)
         component = irreducible_oversemigroup_avoiding(semigroup, target)

@@ -7,48 +7,17 @@ depend on the Frobenius number.  The membership bytes, the Frobenius number,
 the least element and the minimal generators all follow from the tuple.
 The coin-counting table survives as the denumerant evaluator and, run up to
 the frontier, as the membership oracle for tests and ``--verify``; the
-definitional minimal-generator scan is kept as an oracle the same way.
+definitional minimal-generator scan is kept as an oracle the same way, and
+serves the decomposition components, which carry no Apery tuple.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import add
 
-from .core import (
-    GeneratorTuple,
-    PSemigroup,
-    TableLimitError,
-    ValidationError,
-)
-
-DEFAULT_TABLE_LIMIT = 10**8
-TABLE_LIMIT_ENV = "PSG_MAX_TABLE"
-
-
-def _table_cap() -> int:
-    raw = os.environ.get(TABLE_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_TABLE_LIMIT
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValidationError(f"{TABLE_LIMIT_ENV}={raw!r} is not an integer") from None
-    if cap < 1:
-        raise ValidationError(f"{TABLE_LIMIT_ENV} must be positive")
-    return cap
-
-
-def _check_table_size(entries: int, what: str) -> None:
-    """Reject a table of ``entries`` entries that the size cap does not allow."""
-    cap = _table_cap()
-    if entries > cap:
-        raise TableLimitError(
-            f"{what} needs {entries} entries, more than the {cap} allowed "
-            f"(raise {TABLE_LIMIT_ENV} to allow it)"
-        )
+from .core import GeneratorTuple, PSemigroup, ValidationError, _check_table_size
 
 
 def _count_table(gens: tuple[int, ...], limit: int, cap: int | None = None) -> list[int]:
@@ -192,9 +161,13 @@ def membership_oracle(gens: GeneratorTuple, p: int, limit: int) -> bytes:
 
 
 def gaps(semigroup: PSemigroup) -> list[int]:
-    """Ascending non-members; length, sum and max are the basic invariants."""
+    """Ascending non-members; length, sum and max are the basic invariants.
+
+    Every integer past the membership table is a member, so this serves the
+    decomposition's ``FiniteSemigroup`` as well.
+    """
     table = semigroup.membership
-    return [n for n in range(semigroup.frontier) if not table[n]]
+    return [n for n in range(len(table)) if not table[n]]
 
 
 def _positive_apery(semigroup: PSemigroup) -> list[int]:
@@ -227,7 +200,9 @@ def minimal_generators_scan(semigroup: PSemigroup) -> list[int]:
     A member is minimal iff it is not the sum of two positive members.  All
     minimal generators lie in [m, frobenius + m] for the least positive
     member m, and subtracting m from any of them must leave a non-member,
-    which caps the candidate count at m.
+    which caps the candidate count at m.  It is also the production path for
+    the decomposition components (``FiniteSemigroup``, least element 0),
+    where the Apery tuple is not at hand.
     """
     mu = semigroup.least_element
     if mu == 0:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InternalConsistencyError, PSemigroup, ValidationError
+from .core import InternalConsistencyError, PSemigroup, ValidationError, _check_table_size
 from .apery import AperySet
 from .closed_forms import _check_arith
-from .enumeration import _check_table_size
 
 
 @dataclass(frozen=True)

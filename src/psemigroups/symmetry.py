@@ -7,6 +7,10 @@ pairing and the equivalent Apery-set pairing and refuses to answer if they
 disagree.  The genus identity implied by the pairing is asserted in the
 forward direction only: its converse fails for some non-minimal generator
 tuples, where the gap count matches by accident.
+
+The window pairing and ``pseudo_frobenius`` read only ``membership``,
+``frobenius`` and ``least_element``, so the ordinary semigroups of the
+decomposition (``FiniteSemigroup``, least element 0) run on them too.
 """
 
 from __future__ import annotations
@@ -33,24 +37,26 @@ class ClassificationReport:
     valuation: tuple[int, int, int] | None
 
 
-def _window_pairs_exactly_one(semigroup: PSemigroup, total: int, skip_mid: bool) -> bool:
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _pairs_exactly_one(membership: bytes, total: int, skip_mid: bool) -> bool:
     """Exactly one of x and total - x is a member, for 0 <= x <= total.
 
+    ``membership`` tabulates 0..len - 1; every integer past it is a member.
     A self-paired midpoint always fails unless ``skip_mid`` exempts it.
     """
-    for x in range(total // 2 + 1):
-        y = total - x
-        if x == y and skip_mid:
-            continue
-        if semigroup.contains(x) == semigroup.contains(y):
-            return False
-    return True
+    if total % 2 == 0 and not skip_mid:
+        return False
+    window = membership[: total + 1].ljust(total + 1, b"\x01")
+    half = (total + 1) // 2
+    return window[:half].translate(_FLIP) == window[::-1][:half]
 
 
 def is_p_symmetric(semigroup: PSemigroup) -> bool:
     """Members and non-members pair off exactly under x -> total - x."""
     total = semigroup.frobenius + semigroup.least_element
-    pairing = _window_pairs_exactly_one(semigroup, total, skip_mid=False)
+    pairing = _pairs_exactly_one(semigroup.membership, total, skip_mid=False)
     ap = apery_set(semigroup)
     a = ap.modulus
     ordered = ap.sorted_elements
@@ -78,7 +84,7 @@ def is_p_pseudo_symmetric(semigroup: PSemigroup) -> bool:
         return False
     mid = total // 2
     mid_member = semigroup.contains(mid)
-    pairing = _window_pairs_exactly_one(semigroup, total, skip_mid=True)
+    pairing = _pairs_exactly_one(semigroup.membership, total, skip_mid=True)
     ap = apery_set(semigroup)
     a = ap.modulus
     by = ap.by_residue
@@ -111,16 +117,6 @@ def is_p_completely_symmetric(semigroup: PSemigroup) -> bool:
     )
 
 
-def _shifted_members_below(semigroup: PSemigroup, bound: int) -> list[int]:
-    """Positive translates s - least of members s, up to ``bound``."""
-    least = semigroup.least_element
-    return [
-        s - least
-        for s in range(least + 1, least + bound + 1)
-        if semigroup.contains(s)
-    ]
-
-
 def pseudo_frobenius(semigroup: PSemigroup) -> list[int]:
     """Non-members x with x + t inside for every positive shifted member t.
 
@@ -130,16 +126,20 @@ def pseudo_frobenius(semigroup: PSemigroup) -> list[int]:
     g = semigroup.frobenius
     if g < 0:
         return []
-    shifts = _shifted_members_below(semigroup, g)
+    table = semigroup.membership
+    least = semigroup.least_element
+    # least + t for 1 <= t <= g; the members past the table are padded in
+    above_least = table[least + 1 : least + g + 1].ljust(g, b"\x01")
+    shifts = [t for t, member in enumerate(above_least, 1) if member]
     out = []
     for x in range(g + 1):
-        if semigroup.contains(x):
+        if table[x]:
             continue
         ok = True
         for t in shifts:
             if t > g - x:
                 break
-            if not semigroup.contains(x + t):
+            if not table[x + t]:
                 ok = False
                 break
         if ok:

@@ -1,4 +1,5 @@
 import json
+import time
 
 from psemigroups.cli import canonical_json, main
 
@@ -210,6 +211,16 @@ def test_table_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("PSG_MAX_TABLE", "40")
     code, _, err = run(capsys, ["invariants", "--gens", "3,10,17", "-p", "6"])
     assert code == 2
+    assert "PSG_MAX_TABLE" in err
+
+
+def test_table_cap_rejects_huge_generator_before_minimality_scan(capsys, monkeypatch):
+    monkeypatch.setenv("PSG_MAX_TABLE", "1000")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["invariants", "--gens", "3,20000002"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
     assert "PSG_MAX_TABLE" in err
 
 

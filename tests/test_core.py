@@ -9,6 +9,7 @@ from psemigroups import (
     EmptyInputError,
     GcdNotOneError,
     NonPositiveElementError,
+    TableLimitError,
     ValidationError,
     validate_generators,
 )
@@ -86,3 +87,20 @@ def test_validate_properties(raw):
         acc = gcd(acc, v)
     assert acc == 1
     assert validate_generators(list(gt.elements)) == gt
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_gen_lists)
+def test_minimal_flag_matches_representable_oracle(raw):
+    elements = tuple(sorted(set(raw)))
+    redundant = any(
+        _representable(a, elements[:i] + elements[i + 1 :]) for i, a in enumerate(elements)
+    )
+    assert validate_generators(raw).minimal == (not redundant)
+
+
+def test_minimality_table_is_capped(monkeypatch):
+    monkeypatch.setenv("PSG_MAX_TABLE", "1000")
+    with pytest.raises(TableLimitError):
+        validate_generators([1001, 1002])
+    assert validate_generators([1000, 1001]).minimal

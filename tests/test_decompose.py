@@ -1,14 +1,25 @@
+from functools import reduce
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psemigroups import (
     FiniteSemigroup,
     ValidationError,
+    build_psemigroup,
+    gaps,
     intersect,
     irreducible_decomposition,
     irreducible_oversemigroup_avoiding,
     is_irreducible_classic,
     is_irreducible_shifted,
     is_subsemigroup,
+    minimal_generators_scan,
+    pf_via_gap_maximals,
+    pseudo_frobenius,
+    validate_generators,
     verify_decomposition,
 )
 
@@ -33,8 +44,8 @@ def test_canonical_table():
 
 def test_from_generators_round_trip():
     T = FiniteSemigroup.from_generators([2, 3])
-    assert T.gap_list() == [1]
-    assert T.minimal_generator_list() == [2, 3]
+    assert gaps(T) == [1]
+    assert minimal_generators_scan(T) == [2, 3]
     assert is_irreducible_classic(T)
 
 
@@ -117,3 +128,30 @@ def test_verify_decomposition_rejects_bad_lists(build):
     assert not verify_decomposition(T, [other])
     # reducible component: T itself
     assert not verify_decomposition(T, [T])
+
+
+def _small_case(case):
+    gens, p = case
+    a1, a2 = sorted(gens)[:2]
+    return reduce(gcd, gens) == 1 and (p + 1) * a1 * a2 <= 150
+
+
+small_cases = st.tuples(
+    st.lists(st.integers(min_value=3, max_value=12), min_size=2, max_size=3, unique=True),
+    st.integers(min_value=0, max_value=3),
+).filter(_small_case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_cases)
+def test_shared_functions_on_decomposition_semigroups(case):
+    gens, p = case
+    T = FiniteSemigroup.from_psemigroup(build_psemigroup(validate_generators(gens), p))
+    for U in [T, *irreducible_decomposition(T)]:
+        assert U.frobenius >= 0
+        # irreducible iff the only special gap is the Frobenius number (Rosales-Branco)
+        assert is_irreducible_classic(U) == (U.special_gaps() == [U.frobenius])
+        assert pseudo_frobenius(U) == pf_via_gap_maximals(U)
+        generators = minimal_generators_scan(U)
+        assert U.multiplicity == generators[0]
+        assert FiniteSemigroup.from_generators(generators) == U

@@ -18,7 +18,12 @@ from psemigroups import (
     pseudo_frobenius,
     valuation_lengths,
 )
-from psemigroups.decompose import FiniteSemigroup
+from psemigroups.decompose import (
+    FiniteSemigroup,
+    is_irreducible_classic,
+    is_irreducible_shifted,
+)
+from psemigroups.symmetry import _pairs_exactly_one
 
 CORPUS = [
     ((3, 10, 17), range(0, 8)),
@@ -52,6 +57,63 @@ def test_pseudo_symmetric_examples(build):
     assert not S17.contains(99)  # midpoint of 198 is a gap
     assert S17.gap_count == 100
     assert not is_p_pseudo_symmetric(build((6, 17, 28), 5))  # odd total
+
+
+def _pairs_by_loop(membership, total, skip_mid):
+    """The window pairing by definition, one integer at a time."""
+
+    def member(n):
+        return n >= len(membership) or bool(membership[n])
+
+    return all(
+        member(x) != member(total - x)
+        for x in range(total // 2 + 1)
+        if not (skip_mid and 2 * x == total)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.binary(max_size=12).map(lambda raw: bytes(b & 1 for b in raw)),
+    st.integers(min_value=-1, max_value=20),
+    st.booleans(),
+)
+def test_pairing_window_matches_definition(membership, total, skip_mid):
+    assert _pairs_exactly_one(membership, total, skip_mid) == _pairs_by_loop(
+        membership, total, skip_mid
+    )
+
+
+def test_pairing_window_of_full_monoid(build):
+    assert _pairs_exactly_one(b"", -1, skip_mid=False)
+    S = build((1, 2), 0)
+    assert S.frobenius == -1 and is_p_symmetric(S)
+    full = FiniteSemigroup.from_table(b"")
+    assert full.frobenius == -1
+    assert is_irreducible_classic(full) and is_irreducible_shifted(full)
+
+
+@pytest.mark.parametrize(
+    "gens, p, total, frontier", [((3, 5), 1, 37, 26), ((4, 5, 6), 3, 43, 28)]
+)
+def test_pairing_window_longer_than_table(build, gens, p, total, frontier):
+    S = build(gens, p)
+    assert S.frobenius + S.least_element == total
+    assert len(S.membership) == S.frontier == frontier
+    assert _pairs_exactly_one(S.membership, total, skip_mid=False)
+    assert is_p_symmetric(S)
+
+
+@pytest.mark.parametrize(
+    "gens, p, mid_member", [((3, 7, 11), 4, True), ((6, 7, 17, 28), 17, False)]
+)
+def test_pairing_even_total_needs_exempt_midpoint(build, gens, p, mid_member):
+    S = build(gens, p)
+    total = S.frobenius + S.least_element
+    assert total % 2 == 0 and S.contains(total // 2) == mid_member
+    assert _pairs_exactly_one(S.membership, total, skip_mid=True)
+    assert not _pairs_exactly_one(S.membership, total, skip_mid=False)
+    assert is_p_pseudo_symmetric(S) and not is_p_symmetric(S)
 
 
 def test_completely_symmetric_examples(build):
@@ -270,4 +332,4 @@ def test_embedding_dimension_and_type_bounds(build):
             least = S.least_element
             assert len(minimal_generators(S)) <= least
             classic = FiniteSemigroup.from_psemigroup(S)
-            assert len(classic.pseudo_frobenius_numbers()) <= least - 1
+            assert len(pseudo_frobenius(classic)) <= least - 1
