@@ -1,7 +1,17 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import pytest
+
+import psemigroups
 from psemigroups.cli import canonical_json, main
+
+DECOMPOSE_REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "references" / "decompose.json"
 
 
 def run(capsys, argv):
@@ -272,3 +282,34 @@ def test_table_cap_bounds_user_sized_tables(capsys, monkeypatch):
     code, out, _ = run(capsys, ["hilbert", "--gens", "3,5", "--trunc", "999", "--json"])
     assert code == 0
     assert json.loads(out)["truncation"] == 999
+
+
+def test_parser_reused_after_errors_gives_fresh_process_output(capsys):
+    good = ["invariants", "--gens", "6,17,28", "-p", "5"]
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", "--gens", "6,17,28", "--json", "--csv"])
+    assert exc.value.code == 2
+    assert run(capsys, ["invariants", "--gens", "4,6", "--json", "--verify"])[0] == 2
+    code, out, _ = run(capsys, good)
+    src = str(Path(psemigroups.__file__).resolve().parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-m", "psemigroups.cli", *good],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=False,
+    )
+    assert code == fresh.returncode == 0
+    assert out == fresh.stdout
+
+
+def test_decompose_output_matches_pinned_digests(capsys):
+    """Every pinned decompose answer, replayed with --verify, byte for byte."""
+    references = json.loads(DECOMPOSE_REFERENCES.read_text(encoding="utf-8"))
+    assert len(references) == 408
+    mismatched = []
+    for key, pinned in references.items():
+        code, out, _ = run(capsys, [*key.split(), "--verify"])
+        if code != 0 or hashlib.sha256(out.encode("utf-8")).hexdigest()[:32] != pinned:
+            mismatched.append(key)
+    assert mismatched == []

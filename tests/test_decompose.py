@@ -1,8 +1,9 @@
+import time
 from functools import reduce
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psemigroups import (
@@ -32,6 +33,62 @@ def _from_members(members, frontier):
     return FiniteSemigroup.from_table(
         bytes(1 if (n == 0 or n in set(members)) else 0 for n in range(frontier))
     )
+
+
+def _member(table, n):
+    return n >= len(table) or bool(table[n])
+
+
+def _adjoin(semigroup, h):
+    table = bytearray(semigroup.membership)
+    table[h] = 1
+    return FiniteSemigroup.from_table(table)
+
+
+def _completion_oracle(semigroup, gap):
+    """The greedy completion by definition: recompute the special gaps and
+    adjoin the largest one other than ``gap`` until none remain."""
+    current = semigroup
+    while True:
+        candidates = [h for h in current.special_gaps() if h != gap]
+        if not candidates:
+            return current
+        current = _adjoin(current, max(candidates))
+
+
+def _intersect_oracle(components):
+    hi = max(len(c.membership) for c in components)
+    return FiniteSemigroup.from_table(
+        bytes(int(all(_member(c.membership, n) for c in components)) for n in range(hi))
+    )
+
+
+def _is_subsemigroup_oracle(inner, outer):
+    hi = max(len(inner.membership), len(outer.membership))
+    return all(
+        _member(outer.membership, n) for n in range(hi) if _member(inner.membership, n)
+    )
+
+
+def _decomposition_oracle(semigroup):
+    """The uncovered-gap walk with oracle completions, then the quadratic
+    pruning: drop a component when all the others still intersect exactly."""
+    if is_irreducible_classic(semigroup):
+        return [semigroup]
+    components = []
+    uncovered = set(gaps(semigroup))
+    while uncovered:
+        component = _completion_oracle(semigroup, max(uncovered))
+        components.append(component)
+        uncovered = {y for y in uncovered if component.contains(y)}
+    i = 0
+    while i < len(components):
+        rest = components[:i] + components[i + 1 :]
+        if rest and _intersect_oracle(rest) == semigroup:
+            components.pop(i)
+        else:
+            i += 1
+    return components
 
 
 def test_canonical_table():
@@ -155,3 +212,61 @@ def test_shared_functions_on_decomposition_semigroups(case):
         generators = minimal_generators_scan(U)
         assert U.multiplicity == generators[0]
         assert FiniteSemigroup.from_generators(generators) == U
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_cases)
+# 4 is pseudo-Frobenius in (4, 6, 9) p=1 but 8 is a gap, so 4 is not special
+@example(((4, 6, 9), 1))
+@example(((5, 9, 16), 2))
+def test_completion_and_pruning_match_the_definitional_oracles(case):
+    gens, p = case
+    T = FiniteSemigroup.from_psemigroup(build_psemigroup(validate_generators(gens), p))
+    for f in gaps(T):
+        assert irreducible_oversemigroup_avoiding(T, f) == _completion_oracle(T, f)
+    assert irreducible_decomposition(T) == _decomposition_oracle(T)
+
+
+tables = st.lists(st.booleans(), max_size=40).map(
+    lambda bits: FiniteSemigroup.from_table(bytes([1, *map(int, bits)]))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(tables, min_size=1, max_size=4))
+def test_word_kernels_match_per_integer_definitions(components):
+    assert intersect(components) == _intersect_oracle(components)
+    for inner in components:
+        for outer in components:
+            assert is_subsemigroup(inner, outer) == _is_subsemigroup_oracle(inner, outer)
+
+
+def test_word_kernels_on_unequal_lengths_and_the_full_monoid():
+    full = FiniteSemigroup.from_table(b"")
+    short = FiniteSemigroup.from_generators([2, 3])  # table 1 0
+    long = FiniteSemigroup.from_generators([4, 5, 11])  # Frobenius 7
+    for components in ([full], [full, full], [short, full], [long, short], [short, long, full]):
+        assert intersect(components) == _intersect_oracle(components)
+    assert intersect([full]) == full
+    assert intersect([short, long]) == long
+    assert intersect([short, full]) == short
+    assert is_subsemigroup(long, short) and not is_subsemigroup(short, long)
+    assert is_subsemigroup(short, full) and is_subsemigroup(full, full)
+    assert not is_subsemigroup(full, short)
+
+
+def test_scale_6_17_28_p5(build):
+    T = FiniteSemigroup.from_psemigroup(build((6, 17, 28), 5))
+    components = irreducible_decomposition(T)
+    assert len(components) == 66
+    assert verify_decomposition(T, components)
+
+
+def test_scale_37_53_71_p20(build):
+    start = time.perf_counter()
+    T = FiniteSemigroup.from_psemigroup(build((37, 53, 71), 20))
+    components = irreducible_decomposition(T)
+    assert T.frobenius == 2367
+    assert len(components) == 1124
+    assert verify_decomposition(T, components)
+    assert time.perf_counter() - start < 10
