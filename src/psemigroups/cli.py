@@ -1,5 +1,10 @@
 """Command-line surface: invariants, sweeps, series, decompositions.
 
+Each command is a function from a validated generator tuple and typed
+fields to data, a dict or, for ``sweep``, a list of rows; it prints
+nothing.  ``main`` (argv) and ``batch`` (JSON lines) look the command up in
+one table, which also holds its renderers.
+
 Exit codes are a stable contract: 0 success, 1 internal-consistency
 failure, 2 input validation error.  JSON output is canonical (fixed field
 order, compact separators, no floats); values that can exceed 2**53 —
@@ -9,12 +14,10 @@ Sylvester sums, power sums, denumerants — are emitted as decimal strings.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
+import inspect
 import json
 import sys
-from typing import Callable
 
 from .core import (
     GeneratorTuple,
@@ -22,16 +25,8 @@ from .core import (
     ValidationError,
     validate_generators,
 )
-from .enumeration import (
-    build_psemigroup,
-    denumerant_oracle,
-    denumerant_table,
-    membership_oracle,
-    minimal_generators_scan,
-)
-from .apery import apery_set
-from .closed_forms import two_var_membership
-from .hilbert import gaps_series, hilbert_direct, hilbert_from_apery
+from .enumeration import build_psemigroup, denumerant_table, minimal_generators_scan
+from .hilbert import gaps_series, hilbert_direct
 from .decompose import (
     FiniteSemigroup,
     intersect,
@@ -39,83 +34,36 @@ from .decompose import (
     is_irreducible_classic,
     verify_decomposition,
 )
-from .report import InvariantReport, build_invariant_report
+from .report import build_invariant_report, check_denumerant, check_series
 
 SWEEP_RANGE_LIMIT = 10**4
+# power_sum's Bernoulli recurrence costs about 5x per doubling of mu and is
+# not bounded by PSG_MAX_TABLE.  At mu = 100, (90,150,211,269) with p = 20
+# takes about 0.3 s on a 2-vCPU Xeon VM; mu = 400 on (3,5) took 1.7 s.
+MU_LIMIT = 100
 
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=False)
 
 
-def _parse_gens(text: str) -> GeneratorTuple:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValidationError(f"--gens expects comma-separated integers, got {text!r}")
-    return validate_generators(values)
-
-
-def _parse_p(text: str) -> tuple[int, int]:
-    """'5' -> (5, 5); '0..5' -> (0, 5)."""
-    try:
-        if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-        else:
-            lo = hi = int(text)
-    except ValueError:
-        raise ValidationError(f"-p expects N or A..B, got {text!r}")
-    if lo < 0 or hi < lo:
-        raise ValidationError(f"bad p range {text!r}")
-    return lo, hi
-
-
-def _single_p(args) -> int:
-    lo, hi = _parse_p(args.p)
-    if lo != hi:
-        raise ValidationError("this command expects a single p, not a range")
-    return lo
-
-
-def _warn_non_minimal(gens: GeneratorTuple, quiet: bool) -> None:
-    if gens.minimality_checked and not gens.minimal and not quiet:
-        print(
-            f"warning: {list(gens.elements)} is not a minimal generating set; "
-            "results for p > 0 depend on the tuple as given",
-            file=sys.stderr,
-        )
-
-
-def _format_choice(args) -> str:
-    if getattr(args, "json", False):
-        return "json"
-    if getattr(args, "csv", False):
-        return "csv"
-    if getattr(args, "text", False):
-        return "text"
-    return args.default_format
-
-
-def _big(value: int) -> str:
-    return str(value)
-
-
-def _report_dict(report: InvariantReport) -> dict:
+def cmd_invariants(
+    gens: GeneratorTuple, p: int = 0, mu: int = 3, verify: bool = False
+) -> dict:
+    if not 0 <= mu <= MU_LIMIT:
+        raise ValidationError(f"mu must be in 0..{MU_LIMIT}, got {mu}")
+    report = build_invariant_report(gens, p, mu_max=mu, verify=verify)
     cls = report.classification
-    valuation = None
-    if cls.valuation is not None:
-        d1, d2, d3 = cls.valuation
-        valuation = {"d1": d1, "d2": d2, "d3": d3}
+    valuation = None if cls.valuation is None else dict(zip(("d1", "d2", "d3"), cls.valuation))
     return {
-        "gens": list(report.gens.elements),
-        "gens_minimal": report.gens.minimal,
-        "p": report.p,
+        "gens": list(gens.elements),
+        "gens_minimal": gens.minimal,
+        "p": p,
         "ell0": report.least_element,
         "frobenius": report.frobenius,
         "genus": report.genus,
-        "sylvester_sum": _big(report.sylvester_sum),
-        "power_sums": {str(mu): _big(v) for mu, v in report.power_sums},
+        "sylvester_sum": str(report.sylvester_sum),
+        "power_sums": {str(k): str(v) for k, v in report.power_sums},
         "apery": list(report.apery.by_residue),
         "pf": list(cls.pseudo_frobenius_numbers),
         "type": cls.type_number,
@@ -132,319 +80,294 @@ def _report_dict(report: InvariantReport) -> dict:
     }
 
 
-def _print_report_text(data: dict) -> None:
-    flat = dict(data)
-    classification = flat.pop("classification")
-    valuation = flat.pop("valuation")
-    flat["power_sums"] = " ".join(
-        f"mu={mu}:{v}" for mu, v in flat["power_sums"].items()
-    )
-    width = max(len(k) for k in flat)
-    for key, value in flat.items():
-        print(f"{key:<{width}}  {value}")
-    flags = ", ".join(k for k, v in classification.items() if v is True) or "none"
-    print(f"{'class':<{width}}  {flags}")
-    if classification["midpoint"] is not None:
-        side = "member" if classification["midpoint_is_member"] else "gap"
-        print(f"{'midpoint':<{width}}  {classification['midpoint']} ({side})")
-    if valuation is not None:
-        print(
-            f"{'valuation':<{width}}  d1={valuation['d1']} d2={valuation['d2']} "
-            f"d3={valuation['d3']}"
-        )
+_SWEEP_COLUMNS = (
+    "p ell0 frobenius genus sylvester_sum type "
+    "symmetric pseudo_symmetric completely_symmetric irreducible"
+).split()
 
 
-def cmd_invariants(args) -> int:
-    gens = _parse_gens(args.gens)
-    _warn_non_minimal(gens, args.quiet)
-    p = _single_p(args)
-    report = build_invariant_report(gens, p, mu_max=args.mu, verify=args.verify)
-    data = _report_dict(report)
-    if _format_choice(args) == "json":
-        print(canonical_json(data))
-    else:
-        _print_report_text(data)
-    return 0
-
-
-_SWEEP_FIELDS = [
-    "p",
-    "ell0",
-    "frobenius",
-    "genus",
-    "sylvester_sum",
-    "type",
-    "symmetric",
-    "pseudo_symmetric",
-    "completely_symmetric",
-    "irreducible",
-]
-
-
-def _sweep_row(gens: GeneratorTuple, p: int, verify: bool) -> dict:
-    report = build_invariant_report(gens, p, mu_max=1, verify=verify)
-    cls = report.classification
-    return {
-        "p": p,
-        "ell0": report.least_element,
-        "frobenius": report.frobenius,
-        "genus": report.genus,
-        "sylvester_sum": _big(report.sylvester_sum),
-        "type": cls.type_number,
-        "symmetric": cls.symmetric,
-        "pseudo_symmetric": cls.pseudo_symmetric,
-        "completely_symmetric": cls.completely_symmetric,
-        "irreducible": cls.irreducible,
-    }
-
-
-def cmd_sweep(args) -> int:
-    gens = _parse_gens(args.gens)
-    _warn_non_minimal(gens, args.quiet)
-    lo, hi = _parse_p(args.p)
-    if hi - lo + 1 > SWEEP_RANGE_LIMIT:
+def cmd_sweep(gens: GeneratorTuple, p: range = range(1), verify: bool = False) -> list[dict]:
+    """One row per p: the invariants with mu = 1, cut down to the sweep columns."""
+    if len(p) > SWEEP_RANGE_LIMIT:
         raise ValidationError(f"p range longer than {SWEEP_RANGE_LIMIT}")
-    rows = [_sweep_row(gens, p, args.verify) for p in range(lo, hi + 1)]
-    fmt = _format_choice(args)
-    if fmt == "json":
-        for row in rows:
-            print(canonical_json(row))
-    elif fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=_SWEEP_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {
-                    k: (str(v).lower() if isinstance(v, bool) else v)
-                    for k, v in row.items()
-                }
-            )
-        sys.stdout.write(buffer.getvalue())
-    else:
-        widths = {
-            name: max(len(name), *(len(str(row[name])) for row in rows))
-            for name in _SWEEP_FIELDS
-        }
-        print("  ".join(f"{name:>{widths[name]}}" for name in _SWEEP_FIELDS))
-        for row in rows:
-            print(
-                "  ".join(f"{str(row[name]):>{widths[name]}}" for name in _SWEEP_FIELDS)
-            )
-    return 0
+    rows = []
+    for q in p:
+        data = cmd_invariants(gens, q, 1, verify)
+        data.update(data["classification"])
+        rows.append({k: data[k] for k in _SWEEP_COLUMNS})
+    return rows
 
 
-def cmd_hilbert(args) -> int:
-    gens = _parse_gens(args.gens)
-    _warn_non_minimal(gens, args.quiet)
-    p = _single_p(args)
+def cmd_hilbert(
+    gens: GeneratorTuple, p: int = 0, trunc: int | None = None, verify: bool = False
+) -> dict:
     semigroup = build_psemigroup(gens, p)
-    trunc = args.trunc
     if trunc is None:
         trunc = 4 * (semigroup.frobenius + 1)
     member_series = hilbert_direct(semigroup, trunc)
     gap_series = gaps_series(semigroup, trunc)
-    if args.verify:
-        if membership_oracle(gens, p, semigroup.frontier) != semigroup.membership:
-            raise InternalConsistencyError("count table disagrees with the Apery tuple")
-        from_apery = hilbert_from_apery(apery_set(semigroup), trunc)
-        if from_apery != member_series:
-            raise InternalConsistencyError("Apery Hilbert series != direct series")
-        if any(
-            a + b != 1
-            for a, b in zip(member_series.coefficients, gap_series.coefficients)
-        ):
-            raise InternalConsistencyError("H + Psi is not the all-ones series")
-    data = {
+    if verify:
+        check_series(semigroup, member_series, gap_series)
+    return {
         "gens": list(gens.elements),
         "p": p,
         "truncation": trunc,
         "hilbert": list(member_series.coefficients),
         "gaps_series": list(gap_series.coefficients),
     }
-    if _format_choice(args) == "json":
-        print(canonical_json(data))
-    else:
-        print(f"truncation {trunc}")
-        print("hilbert     ", "".join(str(c) for c in member_series.coefficients))
-        print("gaps_series ", "".join(str(c) for c in gap_series.coefficients))
-    return 0
 
 
-def cmd_membership(args) -> int:
-    gens = _parse_gens(args.gens)
-    _warn_non_minimal(gens, args.quiet)
-    p = _single_p(args)
-    n = args.n
-    count = denumerant_table(gens, max(n, 0)).counts[n] if n >= 0 else 0
-    member = count > p
-    if args.verify:
-        if n >= 0 and denumerant_oracle(gens, n) != count:
-            raise InternalConsistencyError("denumerant oracle disagrees with table")
-        elements = gens.elements
-        if len(elements) == 2:
-            if two_var_membership(n, elements[0], elements[1], p) != member:
-                raise InternalConsistencyError(
-                    "standard-form membership disagrees with denumerant threshold"
-                )
-    data = {
+def cmd_membership(gens: GeneratorTuple, p: int = 0, n: int = 0, verify: bool = False) -> dict:
+    count = denumerant_table(gens, n).counts[n] if n >= 0 else 0
+    if verify:
+        check_denumerant(gens, n, count, p)
+    return {
         "gens": list(gens.elements),
         "p": p,
         "n": n,
-        "denumerant": _big(count),
-        "member": member,
+        "denumerant": str(count),
+        "member": count > p,
     }
-    if _format_choice(args) == "json":
-        print(canonical_json(data))
-    else:
-        print(f"d({n}) = {count}; member (> {p}): {member}")
-    return 0
 
 
-def cmd_denumerant(args) -> int:
-    gens = _parse_gens(args.gens)
-    _warn_non_minimal(gens, args.quiet)
-    n = args.n
+def cmd_denumerant(gens: GeneratorTuple, n: int = 0, verify: bool = False) -> dict:
     if n < 0:
         raise ValidationError("n must be non-negative")
     count = denumerant_table(gens, n).counts[n]
-    if args.verify and denumerant_oracle(gens, n) != count:
-        raise InternalConsistencyError("denumerant oracle disagrees with table")
-    data = {"gens": list(gens.elements), "n": n, "denumerant": _big(count)}
-    if _format_choice(args) == "json":
-        print(canonical_json(data))
-    else:
-        print(count)
-    return 0
+    if verify:
+        check_denumerant(gens, n, count)
+    return {"gens": list(gens.elements), "n": n, "denumerant": str(count)}
 
 
-def cmd_decompose(args) -> int:
-    gens = _parse_gens(args.gens)
-    _warn_non_minimal(gens, args.quiet)
-    p = _single_p(args)
+def cmd_decompose(gens: GeneratorTuple, p: int = 0, verify: bool = False) -> dict:
     base = FiniteSemigroup.from_psemigroup(build_psemigroup(gens, p))
     components = irreducible_decomposition(base)
     if intersect(components) != base:
         raise InternalConsistencyError("decomposition intersection mismatch")
-    if args.verify and not verify_decomposition(base, components):
+    if verify and not verify_decomposition(base, components):
         raise InternalConsistencyError("decomposition failed the validity checker")
-    payload = []
-    for component in components:
-        payload.append(
+    return {
+        "gens": list(gens.elements),
+        "p": p,
+        "count": len(components),
+        "components": [
             {
                 "generators": minimal_generators_scan(component),
                 "frobenius": component.frobenius,
                 "genus": component.genus,
                 "irreducible": is_irreducible_classic(component),
             }
-        )
-    data = {
-        "gens": list(gens.elements),
-        "p": p,
-        "count": len(components),
-        "components": payload,
+            for component in components
+        ],
     }
-    if _format_choice(args) == "json":
-        print(canonical_json(data))
-    else:
-        print(f"{len(components)} irreducible component(s)")
-        for entry in payload:
-            print(
-                f"  frobenius {entry['frobenius']:>4}  genus {entry['genus']:>4}  "
-                f"<{','.join(str(g) for g in entry['generators'])}>"
-            )
-    return 0
 
 
-_BATCH_COMMANDS = {
-    "invariants": cmd_invariants,
-    "sweep": cmd_sweep,
-    "hilbert": cmd_hilbert,
-    "membership": cmd_membership,
-    "denumerant": cmd_denumerant,
-    "decompose": cmd_decompose,
-}
+def _json(data: dict) -> str:
+    return canonical_json(data) + "\n"
 
 
-def cmd_batch(args) -> int:
-    if args.jobs == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(args.jobs, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    saw_validation = saw_internal = False
-    for number, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            handler, namespace = _parse_job(line)
-            handler(namespace)
-        except (ValidationError, json.JSONDecodeError) as exc:
-            print(canonical_json({"error": str(exc), "exit": 2, "line": number}))
-            saw_validation = True
-        except InternalConsistencyError as exc:
-            print(canonical_json({"error": str(exc), "exit": 1, "line": number}))
-            saw_internal = True
-    if saw_internal:
-        return 1
-    return 2 if saw_validation else 0
+def _json_rows(rows: list[dict]) -> str:
+    return "".join(map(_json, rows))
 
 
-# Integer job fields and their defaults; None means "use the command's default".
-_INT_FIELDS = {"n": 0, "mu": 3, "trunc": None}
+def _report_text(data: dict) -> str:
+    flat = dict(data)
+    classification = flat.pop("classification")
+    valuation = flat.pop("valuation")
+    flat["power_sums"] = " ".join(f"mu={mu}:{v}" for mu, v in flat["power_sums"].items())
+    flat["class"] = ", ".join(k for k, v in classification.items() if v is True) or "none"
+    if classification["midpoint"] is not None:
+        side = "member" if classification["midpoint_is_member"] else "gap"
+        flat["midpoint"] = f"{classification['midpoint']} ({side})"
+    if valuation is not None:
+        flat["valuation"] = " ".join(f"{k}={v}" for k, v in valuation.items())
+    width = max(map(len, flat))
+    return "".join(f"{key:<{width}}  {value}\n" for key, value in flat.items())
 
 
-def _parse_job(line: str) -> tuple[Callable[[argparse.Namespace], int], argparse.Namespace]:
-    """The handler and argument namespace for one batch line, or ValidationError."""
-    job = json.loads(line)
-    if not isinstance(job, dict):
-        raise ValidationError("batch job must be a JSON object")
-    command = job.get("command", "invariants")
-    handler = _BATCH_COMMANDS.get(command) if isinstance(command, str) else None
-    if handler is None:
-        raise ValidationError(f"unknown batch command {command!r}")
-    return handler, _job_namespace(job)
+def _sweep_cells(rows: list[dict]) -> list[list[str]]:
+    """The header and one line per row, every cell a string."""
+    return [list(rows[0]), *([str(v) for v in row.values()] for row in rows)]
 
 
-def _job_namespace(job: dict) -> argparse.Namespace:
-    gens = job.get("gens")
-    if not isinstance(gens, list):
-        raise ValidationError("batch job needs a 'gens' list")
-    ints = {}
-    for key, default in _INT_FIELDS.items():
-        value = job.get(key, default)
-        if value is not default and type(value) is not int:
-            raise ValidationError(f"batch job field {key!r} must be an integer, got {value!r}")
-        ints[key] = value
-    p_value = job.get("p", 0)
-    return argparse.Namespace(
-        gens=",".join(str(g) for g in gens),
-        p=str(p_value),
-        **ints,
-        verify=bool(job.get("verify", False)),
-        quiet=True,
-        json=True,
-        csv=False,
-        text=False,
-        default_format="json",
+def _sweep_csv(rows: list[dict]) -> str:
+    # Cells are ints, digit strings and bools; lowering changes only the bools.
+    return "".join(",".join(line).lower() + "\n" for line in _sweep_cells(rows))
+
+
+def _sweep_text(rows: list[dict]) -> str:
+    lines = _sweep_cells(rows)
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return "".join(
+        "  ".join(f"{cell:>{w}}" for cell, w in zip(line, widths)) + "\n" for line in lines
     )
 
 
-def _add_common(parser: argparse.ArgumentParser, default_format: str) -> None:
+def _hilbert_text(data: dict) -> str:
+    return (
+        f"truncation {data['truncation']}\n"
+        f"hilbert      {''.join(map(str, data['hilbert']))}\n"
+        f"gaps_series  {''.join(map(str, data['gaps_series']))}\n"
+    )
+
+
+def _membership_text(data: dict) -> str:
+    return f"d({data['n']}) = {data['denumerant']}; member (> {data['p']}): {data['member']}\n"
+
+
+def _decompose_text(data: dict) -> str:
+    lines = [f"{data['count']} irreducible component(s)\n"]
+    for entry in data["components"]:
+        lines.append(
+            f"  frobenius {entry['frobenius']:>4}  genus {entry['genus']:>4}  "
+            f"<{','.join(map(str, entry['generators']))}>\n"
+        )
+    return "".join(lines)
+
+
+# Each command's function and renderers, the default format first.
+COMMANDS = {
+    "invariants": (cmd_invariants, {"text": _report_text, "json": _json}),
+    "sweep": (cmd_sweep, {"csv": _sweep_csv, "json": _json_rows, "text": _sweep_text}),
+    "hilbert": (cmd_hilbert, {"json": _json, "text": _hilbert_text}),
+    "membership": (cmd_membership, {"text": _membership_text, "json": _json}),
+    "denumerant": (cmd_denumerant, {"text": lambda d: d["denumerant"] + "\n", "json": _json}),
+    "decompose": (cmd_decompose, {"text": _decompose_text, "json": _json}),
+}
+
+
+def _p_values(lo: int, hi: int, text: str, command: str) -> int | range:
+    """The p a command takes from the range lo..hi: all of it for sweep, else one."""
+    if lo < 0 or hi < lo:
+        raise ValidationError(f"bad p range {text!r}")
+    if command == "sweep":
+        return range(lo, hi + 1)
+    if lo != hi:
+        raise ValidationError("this command expects a single p, not a range")
+    return lo
+
+
+def _parse_p(text: str, command: str) -> int | range:
+    """'5' -> 5; '0..5' -> range(0, 6), for sweep only."""
+    try:
+        if ".." in text:
+            lo_text, hi_text = text.split("..", 1)
+            lo, hi = int(lo_text), int(hi_text)
+        else:
+            lo = hi = int(text)
+    except ValueError:
+        raise ValidationError(f"-p expects N or A..B, got {text!r}")
+    return _p_values(lo, hi, text, command)
+
+
+def _parse_gens(text: str) -> GeneratorTuple:
+    try:
+        values = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ValidationError(f"--gens expects comma-separated integers, got {text!r}")
+    return validate_generators(values)
+
+
+def _warn_non_minimal(gens: GeneratorTuple, quiet: bool) -> None:
+    if gens.minimality_checked and not gens.minimal and not quiet:
+        print(
+            f"warning: {list(gens.elements)} is not a minimal generating set; "
+            "results for p > 0 depend on the tuple as given",
+            file=sys.stderr,
+        )
+
+
+# The batch job schema: every field a job may give, with its JSON type.  Each
+# field given is checked; a command takes the ones its function names.
+_JOB_FIELDS = {"p": int, "n": int, "mu": int, "trunc": int, "verify": bool}
+
+
+@functools.cache
+def _parameters(function) -> frozenset[str]:
+    return frozenset(inspect.signature(function).parameters)
+
+
+def _parse_job(line: str) -> tuple[str, GeneratorTuple, dict]:
+    """The command, generators and fields of one batch line, or ValidationError."""
+    try:
+        job = json.loads(line)
+    except ValueError as exc:  # not JSON, or an integer too long to convert
+        raise ValidationError(str(exc))
+    except RecursionError:
+        raise ValidationError("batch job is nested too deeply to parse")
+    if not isinstance(job, dict):
+        raise ValidationError("batch job must be a JSON object")
+    command = job.get("command", "invariants")
+    if not isinstance(command, str) or command not in COMMANDS:
+        raise ValidationError(f"unknown batch command {command!r}")
+    if not isinstance(job.get("gens"), list):
+        raise ValidationError("batch job needs a 'gens' list")
+    gens = validate_generators(job["gens"])
+    for key, kind in _JOB_FIELDS.items():
+        if key in job and type(job[key]) is not kind:
+            name = "an integer" if kind is int else "true or false"
+            raise ValidationError(f"batch job field {key!r} must be {name}, got {job[key]!r}")
+    takes = _parameters(COMMANDS[command][0])
+    fields = {key: job[key] for key in _JOB_FIELDS if key in job and key in takes}
+    if "p" in fields:
+        p = fields["p"]
+        fields["p"] = _p_values(p, p, str(p), command)
+    return command, gens, fields
+
+
+def _answer(command: str, gens: GeneratorTuple, fields: dict, fmt: str = "json") -> str:
+    """One command run on validated input, rendered: the dispatch of argv and batch."""
+    function, renderers = COMMANDS[command]
+    return renderers[fmt](function(gens, **fields))
+
+
+def cmd_batch(jobs: str) -> int:
+    """One output line per non-blank job line: the job's JSON or its error."""
+    if jobs == "-":
+        lines = sys.stdin.read().splitlines()
+    else:
+        with open(jobs, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    failures = set()
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            out = _answer(*_parse_job(line))
+        except ValidationError as exc:
+            failures.add(2)
+            out = _json({"error": str(exc), "exit": 2, "line": number})
+        except InternalConsistencyError as exc:
+            failures.add(1)
+            out = _json({"error": str(exc), "exit": 1, "line": number})
+        sys.stdout.write(out)
+    return min(failures, default=0)  # exit 1 outranks exit 2
+
+
+_FORMAT_HELP = {"json": "JSON output", "csv": "CSV output", "text": "aligned text output"}
+
+
+def _add_command(sub, name: str, help_text: str, takes_p: bool = True):
+    # An option left out is left out of the namespace, so the command's own
+    # default applies, as it does to a batch job.
+    parser = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
     parser.add_argument("--gens", required=True, help="comma-separated generators")
-    parser.add_argument("-p", "--p", default="0", help="threshold: N or A..B")
+    if takes_p:
+        parser.add_argument("-p", "--p", help="threshold: N or A..B")
+    renderers = COMMANDS[name][1]
     fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output")
-    fmt.add_argument("--csv", action="store_true", help="CSV output")
-    fmt.add_argument("--text", action="store_true", help="aligned text output")
+    for key, help_format in _FORMAT_HELP.items():
+        if key in renderers:
+            fmt.add_argument(f"--{key}", dest="format", action="store_const", const=key,
+                             help=help_format)
     parser.add_argument(
         "--verify",
         action="store_true",
         help="re-derive closed-form results by enumeration and fail on mismatch",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress warnings")
-    parser.set_defaults(default_format=default_format)
+    parser.set_defaults(format=next(iter(renderers)))
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -454,44 +377,22 @@ def build_parser() -> argparse.ArgumentParser:
         "representation count.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    inv = sub.add_parser("invariants", help="full invariant report for one p")
-    _add_common(inv, "text")
-    inv.add_argument("--mu", type=int, default=3, help="largest power-sum exponent")
-    inv.set_defaults(func=cmd_invariants)
-
-    sweep = sub.add_parser("sweep", help="one row per p over a range")
-    _add_common(sweep, "csv")
-    sweep.set_defaults(func=cmd_sweep)
-
-    hil = sub.add_parser("hilbert", help="membership and gap series")
-    _add_common(hil, "json")
-    hil.add_argument(
-        "--trunc",
-        type=int,
-        default=None,
-        help="series truncation (default 4*(frobenius+1))",
+    _add_command(sub, "invariants", "full invariant report for one p").add_argument(
+        "--mu", type=int, help=f"largest power-sum exponent, 0..{MU_LIMIT}"
     )
-    hil.set_defaults(func=cmd_hilbert)
-
-    mem = sub.add_parser("membership", help="denumerant and threshold verdict")
-    _add_common(mem, "text")
-    mem.add_argument("-n", type=int, required=True, help="integer to test")
-    mem.set_defaults(func=cmd_membership)
-
-    den = sub.add_parser("denumerant", help="number of representations")
-    _add_common(den, "text")
-    den.add_argument("-n", type=int, required=True, help="integer to count")
-    den.set_defaults(func=cmd_denumerant)
-
-    dec = sub.add_parser("decompose", help="irreducible intersection decomposition")
-    _add_common(dec, "text")
-    dec.set_defaults(func=cmd_decompose)
-
+    _add_command(sub, "sweep", "one row per p over a range")
+    _add_command(sub, "hilbert", "membership and gap series").add_argument(
+        "--trunc", type=int, help="series truncation (default 4*(frobenius+1))"
+    )
+    _add_command(sub, "membership", "denumerant and threshold verdict").add_argument(
+        "-n", type=int, required=True, help="integer to test"
+    )
+    _add_command(sub, "denumerant", "number of representations", takes_p=False).add_argument(
+        "-n", type=int, required=True, help="integer to count"
+    )
+    _add_command(sub, "decompose", "irreducible intersection decomposition")
     batch = sub.add_parser("batch", help="JSON-lines jobs from a file or '-'")
     batch.add_argument("jobs", help="path to JSON-lines job file, or '-' for stdin")
-    batch.set_defaults(func=cmd_batch)
-
     return parser
 
 
@@ -500,10 +401,19 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    fields = vars(_parser().parse_args(argv))
+    command = fields.pop("command")
     try:
-        return args.func(args)
-    except ValidationError as exc:
+        if command == "batch":
+            return cmd_batch(fields["jobs"])
+        fmt = fields.pop("format")
+        gens = _parse_gens(fields.pop("gens"))
+        _warn_non_minimal(gens, fields.pop("quiet", False))
+        if "p" in fields:
+            fields["p"] = _parse_p(fields["p"], command)
+        sys.stdout.write(_answer(command, gens, fields, fmt))
+        return 0
+    except (ValidationError, OSError) as exc:  # OSError: a batch file that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:

@@ -5,7 +5,9 @@ gap-derived ones (they are cheap and provably equal); ``verify=True`` adds
 the heavier re-derivations: membership from the count table, the scanned
 minimal generators and valuation lengths, brute-force power sums, three-way
 pseudo-Frobenius agreement, the Hilbert factorization identity, and the
-matching closed forms when the generator tuple has one.
+matching closed forms when the generator tuple has one.  ``check_series``
+and ``check_denumerant`` are the checks the ``hilbert``, ``membership``
+and ``denumerant`` commands share with it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from math import gcd
 from .core import GeneratorTuple, InternalConsistencyError, PSemigroup
 from .enumeration import (
     build_psemigroup,
+    denumerant_oracle,
     gaps,
     membership_oracle,
     minimal_generators,
@@ -37,8 +40,8 @@ from .symmetry import (
     pseudo_frobenius,
     valuation_lengths_scan,
 )
-from .hilbert import gaps_series, hilbert_direct, hilbert_from_apery
-from .closed_forms import arith_invariants, two_var_invariants
+from .hilbert import PowerSeries, gaps_series, hilbert_direct, hilbert_from_apery
+from .closed_forms import arith_invariants, two_var_invariants, two_var_membership
 
 
 @dataclass(frozen=True)
@@ -55,27 +58,58 @@ class InvariantReport:
     embedding_dimension: int
 
 
-def _mismatch(what: str, formula, enumerated, semigroup: PSemigroup) -> None:
+def _mismatch(what: str, formula, enumerated, gens: GeneratorTuple, p: int | None) -> None:
+    where = f"gens={gens.elements}" if p is None else f"gens={gens.elements} p={p}"
     raise InternalConsistencyError(
-        f"{what}: formula value {formula} != enumerated {enumerated} "
-        f"for gens={semigroup.gens.elements} p={semigroup.p}"
+        f"{what}: formula value {formula} != enumerated {enumerated} for {where}"
     )
 
 
+def check_series(semigroup: PSemigroup, direct: PowerSeries, psi: PowerSeries) -> None:
+    """The ``--verify`` checks behind the series of ``semigroup``.
+
+    The membership bytes must equal the count table's, the Hilbert series
+    ``direct`` its Apery factorization, and ``direct`` plus the gap series
+    ``psi`` the all-ones series, all up to the truncation of ``direct``.
+    """
+    gens, p = semigroup.gens, semigroup.p
+    if membership_oracle(gens, p, semigroup.frontier) != semigroup.membership:
+        _mismatch("membership", "Apery tuple", "count table", gens, p)
+    if hilbert_from_apery(apery_set(semigroup), direct.truncation) != direct:
+        _mismatch("Hilbert factorization", "apery series", "direct series", gens, p)
+    if any(a + b != 1 for a, b in zip(direct.coefficients, psi.coefficients)):
+        _mismatch("series partition", "H + Psi", "all-ones", gens, p)
+
+
+def check_denumerant(gens: GeneratorTuple, n: int, count: int, p: int | None = None) -> None:
+    """The ``--verify`` checks behind ``count``, the table's value of d(n).
+
+    For n >= 0 the recursive oracle must agree; given a threshold ``p`` on
+    two generators, so must the standard-form membership test.
+    """
+    if n >= 0:
+        oracle = denumerant_oracle(gens, n)
+        if oracle != count:
+            _mismatch(f"denumerant d({n})", count, oracle, gens, p)
+    if p is not None and len(gens) == 2:
+        closed = two_var_membership(n, *gens.elements, p)
+        if closed != (count > p):
+            _mismatch(f"membership of {n}", closed, count > p, gens, p)
+
+
 def _verify_extras(semigroup: PSemigroup, report: InvariantReport, gap_list: list[int]) -> None:
-    if membership_oracle(semigroup.gens, semigroup.p, semigroup.frontier) != semigroup.membership:
-        _mismatch("membership", "Apery tuple", "count table", semigroup)
+    gens, p = semigroup.gens, semigroup.p
     fast, scanned = minimal_generators(semigroup), minimal_generators_scan(semigroup)
     if fast != scanned:
-        _mismatch("minimal generators", fast, scanned, semigroup)
-    if semigroup.p >= 1:
+        _mismatch("minimal generators", fast, scanned, gens, p)
+    if p >= 1:
         valuation, scanned = report.classification.valuation, valuation_lengths_scan(semigroup)
         if valuation != scanned:
-            _mismatch("valuation lengths", valuation, scanned, semigroup)
+            _mismatch("valuation lengths", valuation, scanned, gens, p)
     for mu, value in report.power_sums:
         brute = sum(n**mu for n in gap_list)
         if value != brute:
-            _mismatch(f"power sum mu={mu}", value, brute, semigroup)
+            _mismatch(f"power sum mu={mu}", value, brute, gens, p)
     pf = list(report.classification.pseudo_frobenius_numbers)
     via_definition = pseudo_frobenius(semigroup)
     via_gaps = pf_via_gap_maximals(semigroup)
@@ -85,25 +119,19 @@ def _verify_extras(semigroup: PSemigroup, report: InvariantReport, gap_list: lis
             "pseudo-Frobenius sets",
             pf,
             (via_definition, via_gaps, via_apery),
-            semigroup,
+            gens,
+            p,
         )
-    trunc = 2 * (semigroup.frobenius + 1) + semigroup.gens.least
-    direct = hilbert_direct(semigroup, trunc)
-    if hilbert_from_apery(report.apery, trunc) != direct:
-        _mismatch("Hilbert factorization", "apery series", "direct series", semigroup)
-    psi = gaps_series(semigroup, trunc)
-    if any(
-        direct.coefficients[n] + psi.coefficients[n] != 1 for n in range(trunc + 1)
-    ):
-        _mismatch("series partition", "H + Psi", "all-ones", semigroup)
-    elements = semigroup.gens.elements
+    trunc = 2 * (semigroup.frobenius + 1) + gens.least
+    check_series(semigroup, hilbert_direct(semigroup, trunc), gaps_series(semigroup, trunc))
+    elements = gens.elements
     if len(elements) == 2:
         a, b = elements
         if a >= 2 and gcd(a, b) == 1:
-            closed = two_var_invariants(a, b, semigroup.p)
+            closed = two_var_invariants(a, b, p)
             got = (report.frobenius, report.genus, report.sylvester_sum)
             if closed != got:
-                _mismatch("two-generator closed forms", closed, got, semigroup)
+                _mismatch("two-generator closed forms", closed, got, gens, p)
     if len(elements) == 3:
         a = elements[0]
         d = elements[1] - a
@@ -112,12 +140,12 @@ def _verify_extras(semigroup: PSemigroup, report: InvariantReport, gap_list: lis
             and elements[2] - elements[1] == d
             and a >= 3
             and gcd(a, d) == 1
-            and semigroup.p <= a // 2
+            and p <= a // 2
         ):
-            frob, genus, least = arith_invariants(a, d, semigroup.p)
+            frob, genus, least = arith_invariants(a, d, p)
             got = (report.frobenius, report.genus, report.least_element)
             if (frob, genus, least) != got:
-                _mismatch("arithmetic-triple closed forms", (frob, genus, least), got, semigroup)
+                _mismatch("arithmetic-triple closed forms", (frob, genus, least), got, gens, p)
 
 
 def build_invariant_report(
@@ -131,11 +159,11 @@ def build_invariant_report(
     sylvester = sylvester_sum_from_apery(ap)
     enum_frob = gap_list[-1] if gap_list else -1
     if frob != semigroup.frobenius or frob != enum_frob:
-        _mismatch("frobenius", frob, enum_frob, semigroup)
+        _mismatch("frobenius", frob, enum_frob, gens, p)
     if genus != len(gap_list):
-        _mismatch("genus", genus, len(gap_list), semigroup)
+        _mismatch("genus", genus, len(gap_list), gens, p)
     if sylvester != sum(gap_list):
-        _mismatch("sylvester sum", sylvester, sum(gap_list), semigroup)
+        _mismatch("sylvester sum", sylvester, sum(gap_list), gens, p)
     power_sums = tuple((mu, power_sum(semigroup, mu)) for mu in range(1, mu_max + 1))
     report = InvariantReport(
         gens=gens,

@@ -7,11 +7,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import psemigroups
 from psemigroups.cli import canonical_json, main
 
-DECOMPOSE_REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "references" / "decompose.json"
+REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "references"
 
 
 def run(capsys, argv):
@@ -303,13 +305,304 @@ def test_parser_reused_after_errors_gives_fresh_process_output(capsys):
     assert out == fresh.stdout
 
 
-def test_decompose_output_matches_pinned_digests(capsys):
-    """Every pinned decompose answer, replayed with --verify, byte for byte."""
-    references = json.loads(DECOMPOSE_REFERENCES.read_text(encoding="utf-8"))
-    assert len(references) == 408
+@pytest.mark.parametrize(
+    "workload, count, extra",
+    [
+        # report keys replay without --verify: its O(genus^2) oracles would take minutes.
+        ("report", 1200, []),
+        ("verify", 2054, []),  # every key already carries --verify
+        ("decompose", 408, ["--verify"]),
+    ],
+    ids=["report", "verify", "decompose"],
+)
+def test_output_matches_pinned_digests(capsys, workload, count, extra):
+    """Every pinned benchmark answer, replayed in-process, byte for byte."""
+    references = json.loads((REFERENCES / f"{workload}.json").read_text(encoding="utf-8"))
+    assert len(references) == count
     mismatched = []
     for key, pinned in references.items():
-        code, out, _ = run(capsys, [*key.split(), "--verify"])
+        code, out, _ = run(capsys, [*key.split(), *extra])
         if code != 0 or hashlib.sha256(out.encode("utf-8")).hexdigest()[:32] != pinned:
             mismatched.append(key)
     assert mismatched == []
+
+
+GOLDEN_TEXT = [
+    (
+        "invariants --gens 3,7,11 -p 3",
+        "gens                 [3, 7, 11]\n"
+        "gens_minimal         True\n"
+        "p                    3\n"
+        "ell0                 28\n"
+        "frobenius            30\n"
+        "genus                30\n"
+        "sylvester_sum        437\n"
+        "power_sums           mu=1:437 mu=2:8671 mu=3:194273\n"
+        "apery                [33, 28, 32]\n"
+        "pf                   [29, 30]\n"
+        "type                 2\n"
+        "embedding_dimension  28\n"
+        "class                pseudo_symmetric, irreducible\n"
+        "midpoint             29 (gap)\n"
+        "valuation            d1=30 d2=59 d3=29\n",
+    ),
+    (
+        "sweep --gens 3,7,11 -p 2..4 --text",
+        "p  ell0  frobenius  genus  sylvester_sum  type  "
+        "symmetric  pseudo_symmetric  completely_symmetric  irreducible\n"
+        "2    21         26     24            281     1       "
+        "True             False                 False         True\n"
+        "3    28         30     30            437     2      "
+        "False              True                 False         True\n"
+        "4    35         37     36            632     1      "
+        "False              True                 False         True\n",
+    ),
+    (
+        "sweep --gens 3,7,11 -p 0..3",
+        "p,ell0,frobenius,genus,sylvester_sum,type,"
+        "symmetric,pseudo_symmetric,completely_symmetric,irreducible\n"
+        "0,0,8,5,20,2,false,true,false,true\n"
+        "1,14,19,17,141,1,true,false,false,true\n"
+        "2,21,26,24,281,1,true,false,false,true\n"
+        "3,28,30,30,437,2,false,true,false,true\n",
+    ),
+    (
+        "hilbert --gens 3,5 -p 1 --trunc 24 --text",
+        "truncation 24\n"
+        "hilbert      0000000000000001001011011\n"
+        "gaps_series  1111111111111110110100100\n",
+    ),
+    ("membership --gens 3,5 -p 1 -n 43", "d(43) = 3; member (> 1): True\n"),
+    ("denumerant --gens 2,5,7 -n 43 --quiet", "17\n"),
+    (
+        "decompose --gens 4,5,6 -p 1",
+        "5 irreducible component(s)\n"
+        "  frobenius   13  genus    7  <7,8,9,10,11,12>\n"
+        "  frobenius   11  genus    6  <6,7,8,9,10>\n"
+        "  frobenius    9  genus    5  <5,6,7,8>\n"
+        "  frobenius    8  genus    5  <5,6,7,9>\n"
+        "  frobenius    7  genus    4  <4,5,6>\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    GOLDEN_TEXT,
+    ids="invariants sweep sweep-csv hilbert membership denumerant decompose".split(),
+)
+def test_text_and_csv_output_is_exact(capsys, argv, expected):
+    """Outputs recorded before the command functions returned data."""
+    assert run(capsys, argv.split()) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--gens", "3,5", "--csv"],
+        ["hilbert", "--gens", "3,5", "--csv"],
+        ["membership", "--gens", "3,5", "-n", "7", "--csv"],
+        ["denumerant", "--gens", "3,5", "-n", "7", "--csv"],
+        ["decompose", "--gens", "3,5", "--csv"],
+        ["denumerant", "--gens", "3,5", "-n", "7", "-p", "0..9"],
+    ],
+)
+def test_options_a_command_does_not_honour_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("mu", ["400", "101", "-3"])
+def test_mu_outside_its_bound_exits_2_before_any_power_sum(capsys, mu):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["invariants", "--gens", "3,5", "--mu", mu, "--json"])
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "")
+    assert "mu must be in 0..100" in err
+
+
+def test_mu_at_its_bound_runs(capsys):
+    code, out, _ = run(capsys, ["invariants", "--gens", "3,5", "--mu", "100", "--json"])
+    assert code == 0
+    assert list(json.loads(out)["power_sums"]) == [str(mu) for mu in range(1, 101)]
+
+
+def _batch(monkeypatch, capsys, lines):
+    import io as _io
+
+    monkeypatch.setattr("sys.stdin", _io.StringIO("\n".join(lines) + "\n"))
+    code = main(["batch", "-"])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return code, [json.loads(line) for line in captured.out.splitlines()]
+
+
+@pytest.mark.parametrize(
+    "job, words",
+    [
+        ({"command": "sweep", "gens": [3, 7], "p": "0..2"}, "'p' must be an integer"),
+        ({"command": "invariants", "gens": [3, 5], "p": "2"}, "'p' must be an integer"),
+        ({"command": "invariants", "gens": [3, 5], "p": True}, "'p' must be an integer"),
+        ({"command": "denumerant", "gens": [3, 5], "p": "x"}, "'p' must be an integer"),
+        ({"command": "invariants", "gens": [3, "5"]}, "not an integer"),
+        ({"command": "invariants", "gens": ["3,5"]}, "not an integer"),
+        ({"command": "invariants", "gens": [3, True]}, "not an integer"),
+        ({"command": "invariants", "gens": [3, 5], "verify": "false"}, "'verify' must be"),
+        ({"command": "invariants", "gens": [3, 5], "verify": 1}, "'verify' must be"),
+        ({"command": "hilbert", "gens": [3, 5], "trunc": None}, "'trunc' must be an integer"),
+        ({"command": "invariants", "gens": [3, 5], "mu": 400}, "mu must be in 0..100"),
+        ({"command": "invariants", "gens": [3, 5], "mu": -3}, "mu must be in 0..100"),
+        ({"command": "membership", "gens": [3, 5], "p": -1, "n": 8}, "bad p range"),
+    ],
+)
+def test_batch_rejects_mistyped_fields_and_goes_on(capsys, monkeypatch, job, words):
+    good = {"command": "denumerant", "gens": [2, 5, 7], "n": 43}
+    start = time.perf_counter()
+    code, out = _batch(monkeypatch, capsys, [json.dumps(job), json.dumps(good)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out[0]["exit"] == 2 and out[0]["line"] == 1 and words in out[0]["error"]
+    assert out[1] == {"gens": [2, 5, 7], "n": 43, "denumerant": "17"}
+
+
+def test_batch_survives_lines_json_cannot_parse_and_rejects_a_missing_file(
+    capsys, monkeypatch, tmp_path
+):
+    good = {"command": "denumerant", "gens": [3, 7], "n": 10}
+    lines = ["[" * 10**5 + "]" * 10**5, '{"gens": [3, ' + "7" * 5000 + "]}", json.dumps(good)]
+    code, out = _batch(monkeypatch, capsys, lines)
+    assert code == 2
+    assert out[0] == {"error": "batch job is nested too deeply to parse", "exit": 2, "line": 1}
+    assert out[1]["exit"] == 2 and out[1]["line"] == 2 and "digits" in out[1]["error"]
+    assert out[2]["denumerant"] == "1"
+    code, out, err = run(capsys, ["batch", str(tmp_path / "missing.jsonl")])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "missing.jsonl" in err
+
+
+def test_batch_exit_1_outranks_exit_2(capsys, monkeypatch):
+    import psemigroups.cli as cli_mod
+    from psemigroups.core import InternalConsistencyError
+
+    def boom(*args, **kwargs):
+        raise InternalConsistencyError("forced")
+
+    monkeypatch.setattr(cli_mod, "build_invariant_report", boom)
+    jobs = [
+        {"gens": [4, 6]},
+        {"gens": [3, 5]},
+        {"command": "denumerant", "gens": [3, 5], "n": 8},
+    ]
+    code, out = _batch(monkeypatch, capsys, [json.dumps(job) for job in jobs])
+    assert code == 1
+    assert out[:2] == [
+        {"error": "gcd of generators is 2, expected 1", "exit": 2, "line": 1},
+        {"error": "forced", "exit": 1, "line": 2},
+    ]
+    assert out[2]["denumerant"] == "1"
+
+
+def test_batch_sweep_is_one_line_per_job(capsys, monkeypatch):
+    lines = [
+        json.dumps({"command": "sweep", "gens": [3, 7, 11], "p": 3}),
+        json.dumps({"command": "sweep", "gens": [3, 7, 11]}),
+    ]
+    code, out = _batch(monkeypatch, capsys, lines)
+    assert code == 0
+    assert [(row["p"], row["pseudo_symmetric"]) for row in out] == [(3, True), (0, True)]
+    expected = run(capsys, ["sweep", "--gens", "3,7,11", "-p", "3", "--json"])[1]
+    assert json.loads(expected) == out[0]
+
+
+# Sizes stay small (generators under 30, n under 200), and the test lowers
+# the table cap to 1000 so that no job a random line can form takes long.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 250) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_jobs = st.fixed_dictionaries(
+    {"gens": st.lists(st.integers(1, 29), min_size=2, max_size=4) | _json_values},
+    optional={
+        "command": st.sampled_from(
+            "invariants sweep hilbert membership denumerant decompose batch".split()
+        )
+        | _json_values,
+        "p": st.integers(-1, 1) | st.sampled_from(["0", "0..1", 1.0, True]) | _json_values,
+        "n": st.integers(-2, 199) | _json_values,
+        "mu": st.integers(-1, 4) | st.just(400) | _json_values,
+        "trunc": st.integers(-1, 60) | _json_values,
+        "verify": st.booleans() | _json_values,
+    },
+)
+_lines = st.lists(
+    st.one_of(
+        _jobs.map(json.dumps),
+        _json_values.map(json.dumps),
+        st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8),
+    ),
+    max_size=5,
+)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(lines=_lines)
+@example(lines=["", json.dumps({"command": "sweep", "gens": [3, 7], "p": "0..1"}), "{"])
+def test_batch_gives_one_line_per_job_and_a_contract_exit_code(capsys, monkeypatch, lines):
+    """Whatever a job line holds, it gets one output line; errors name their line."""
+    monkeypatch.setenv("PSG_MAX_TABLE", "1000")
+    code, out = _batch(monkeypatch, capsys, lines)
+    assert code in (0, 1, 2)
+    numbers = [number for number, line in enumerate(lines, 1) if line.strip()]
+    assert len(out) == len(numbers)
+    for number, row in zip(numbers, out):
+        if "error" in row:
+            assert row["line"] == number and row["exit"] in (1, 2)
+    assert code == min((row["exit"] for row in out if "error" in row), default=0)
+
+
+def _flip_first(series):
+    from psemigroups.hilbert import PowerSeries
+
+    return PowerSeries((1 - series.coefficients[0], *series.coefficients[1:]))
+
+
+def _flip_first_byte(membership: bytes) -> bytes:
+    return bytes([1 - membership[0]]) + membership[1:]
+
+
+@pytest.mark.parametrize(
+    "module, name, corrupt, argv, where",
+    [
+        ("report", "membership_oracle", _flip_first_byte, "hilbert", "p=1"),
+        ("report", "membership_oracle", _flip_first_byte, "invariants", "p=1"),
+        ("report", "hilbert_from_apery", _flip_first, "hilbert", "p=1"),
+        ("cli", "gaps_series", _flip_first, "hilbert", "p=1"),
+        ("report", "denumerant_oracle", lambda d: d + 1, "membership -n 43", "p=1"),
+        ("report", "denumerant_oracle", lambda d: d + 1, "denumerant -n 43", ""),
+        ("report", "two_var_membership", lambda member: not member, "membership -n 43", "p=1"),
+    ],
+)
+def test_verify_cross_checks_exit_1_naming_gens_and_p(
+    capsys, monkeypatch, module, name, corrupt, argv, where
+):
+    """Each shared --verify check fails its command when its oracle disagrees."""
+    import importlib
+
+    owner = importlib.import_module(f"psemigroups.{module}")
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: corrupt(real(*args)))
+    command, *extra = argv.split()
+    p = [] if command == "denumerant" else ["-p", "1"]
+    base = [command, "--gens", "3,5", *p, *extra]
+    assert run(capsys, base)[0] == 0
+    code, out, err = run(capsys, [*base, "--verify"])
+    assert (code, out) == (1, "")
+    assert f"for gens=(3, 5) {where}".strip() + "\n" in err
