@@ -6,17 +6,20 @@ of the gaps all follow from the Apery elements, via Bernoulli numbers for
 the general power sum.  Every division is exact-rational with a final
 integrality assertion; a non-integer outcome signals a bug, never a
 rounding decision.
+
+The formulas read an Apery tuple modulo any generator a, not only the
+least, and take a as the tuple's length: adding a generator never removes a
+representation, so each residue class modulo a holds exactly its Apery
+element plus the multiples of a.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .core import (
-    GeneratorTuple,
     ModulusNotGeneratorError,
     NonIntegerResultError,
     PSemigroup,
@@ -25,33 +28,16 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class AperySet:
-    """Least members per residue class modulo a chosen generator.
-
-    ``by_residue[j]`` is the least member congruent to j, so the set forms a
-    complete residue system and each element minus the modulus is a
-    non-member.
-    """
-
-    gens: GeneratorTuple
-    modulus: int
-    by_residue: tuple[int, ...]
-
-    @property
-    def sorted_elements(self) -> tuple[int, ...]:
-        return tuple(sorted(self.by_residue))
-
-
-def apery_set(semigroup: PSemigroup, modulus: int | None = None) -> AperySet:
+def apery_set(semigroup: PSemigroup, modulus: int | None = None) -> tuple[int, ...]:
     """Apery set of the semigroup with respect to ``modulus`` (default min generator).
 
-    The least modulus returns the tuple the semigroup was built from; any
-    other generator scans each residue class upwards.
+    Entry j is the least member congruent to j, so the tuple's length is its
+    modulus.  The least modulus returns the tuple the semigroup was built
+    from; any other generator scans each residue class upwards.
     """
     a = semigroup.gens.least if modulus is None else modulus
     if a == semigroup.gens.least:
-        return AperySet(semigroup.gens, a, semigroup.apery)
+        return semigroup.apery
     if a not in semigroup.gens.elements:
         raise ModulusNotGeneratorError(f"{a} is not one of the generators")
     by_residue = []
@@ -60,38 +46,27 @@ def apery_set(semigroup: PSemigroup, modulus: int | None = None) -> AperySet:
         while not semigroup.contains(n):
             n += a
         by_residue.append(n)
-    return AperySet(semigroup.gens, a, tuple(by_residue))
+    return tuple(by_residue)
 
 
-def _require_least_modulus(ap: AperySet) -> None:
-    if ap.modulus != ap.gens.least:
-        raise ValidationError(
-            "derived invariants require the least generator as Apery modulus"
-        )
+def frobenius_from_apery(ap: tuple[int, ...]) -> int:
+    """Largest non-member: max Apery element minus the modulus ``len(ap)``."""
+    return max(ap) - len(ap)
 
 
-def frobenius_from_apery(ap: AperySet) -> int:
-    """Largest non-member: max Apery element minus the modulus."""
-    _require_least_modulus(ap)
-    return max(ap.by_residue) - ap.modulus
-
-
-def genus_from_apery(ap: AperySet) -> int:
-    """Gap count from the Apery element sum."""
-    _require_least_modulus(ap)
-    a = ap.modulus
-    value = Fraction(sum(ap.by_residue), a) - Fraction(a - 1, 2)
+def genus_from_apery(ap: tuple[int, ...]) -> int:
+    """Gap count from the Apery element sum, for any generator modulus."""
+    a = len(ap)
+    value = Fraction(sum(ap), a) - Fraction(a - 1, 2)
     return _exact_int(value, "genus")
 
 
-def sylvester_sum_from_apery(ap: AperySet) -> int:
-    """Sum of all gaps from the first two Apery power sums."""
-    _require_least_modulus(ap)
-    a = ap.modulus
-    elements = ap.by_residue
+def sylvester_sum_from_apery(ap: tuple[int, ...]) -> int:
+    """Sum of all gaps from the first two Apery power sums, for any generator modulus."""
+    a = len(ap)
     value = (
-        Fraction(sum(m * m for m in elements), 2 * a)
-        - Fraction(sum(elements), 2)
+        Fraction(sum(m * m for m in ap), 2 * a)
+        - Fraction(sum(ap), 2)
         + Fraction(a * a - 1, 12)
     )
     return _exact_int(value, "sylvester sum")
@@ -129,11 +104,10 @@ def power_sum(semigroup: PSemigroup, mu: int) -> int:
     if mu < 1:
         raise ValidationError("power-sum exponent must be >= 1")
     ap = apery_set(semigroup)
-    a = ap.modulus
-    elements = ap.by_residue
+    a = len(ap)
     total = Fraction(0)
     for k in range(mu + 1):
-        inner = sum(m ** (mu + 1 - k) for m in elements)
+        inner = sum(m ** (mu + 1 - k) for m in ap)
         total += comb(mu + 1, k) * bernoulli(k) * Fraction(a) ** (k - 1) * inner
     total /= mu + 1
     total += bernoulli(mu + 1) / (mu + 1) * (a ** (mu + 1) - 1)

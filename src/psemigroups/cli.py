@@ -53,31 +53,9 @@ def cmd_invariants(
     if not 0 <= mu <= MU_LIMIT:
         raise ValidationError(f"mu must be in 0..{MU_LIMIT}, got {mu}")
     report = build_invariant_report(gens, p, mu_max=mu, verify=verify)
-    cls = report.classification
-    valuation = None if cls.valuation is None else dict(zip(("d1", "d2", "d3"), cls.valuation))
-    return {
-        "gens": list(gens.elements),
-        "gens_minimal": gens.minimal,
-        "p": p,
-        "ell0": report.least_element,
-        "frobenius": report.frobenius,
-        "genus": report.genus,
-        "sylvester_sum": str(report.sylvester_sum),
-        "power_sums": {str(k): str(v) for k, v in report.power_sums},
-        "apery": list(report.apery.by_residue),
-        "pf": list(cls.pseudo_frobenius_numbers),
-        "type": cls.type_number,
-        "classification": {
-            "symmetric": cls.symmetric,
-            "pseudo_symmetric": cls.pseudo_symmetric,
-            "completely_symmetric": cls.completely_symmetric,
-            "irreducible": cls.irreducible,
-            "midpoint": cls.midpoint,
-            "midpoint_is_member": cls.midpoint_is_member,
-        },
-        "valuation": valuation,
-        "embedding_dimension": report.embedding_dimension,
-    }
+    report["sylvester_sum"] = str(report["sylvester_sum"])
+    report["power_sums"] = {str(k): str(v) for k, v in report["power_sums"].items()}
+    return report
 
 
 _SWEEP_COLUMNS = (
@@ -118,7 +96,7 @@ def cmd_hilbert(
 
 
 def cmd_membership(gens: GeneratorTuple, p: int = 0, n: int = 0, verify: bool = False) -> dict:
-    count = denumerant_table(gens, n).counts[n] if n >= 0 else 0
+    count = denumerant_table(gens, n)[n] if n >= 0 else 0
     if verify:
         check_denumerant(gens, n, count, p)
     return {
@@ -133,7 +111,7 @@ def cmd_membership(gens: GeneratorTuple, p: int = 0, n: int = 0, verify: bool = 
 def cmd_denumerant(gens: GeneratorTuple, n: int = 0, verify: bool = False) -> dict:
     if n < 0:
         raise ValidationError("n must be non-negative")
-    count = denumerant_table(gens, n).counts[n]
+    count = denumerant_table(gens, n)[n]
     if verify:
         check_denumerant(gens, n, count)
     return {"gens": list(gens.elements), "n": n, "denumerant": str(count)}
@@ -269,7 +247,7 @@ def _parse_gens(text: str) -> GeneratorTuple:
 
 
 def _warn_non_minimal(gens: GeneratorTuple, quiet: bool) -> None:
-    if gens.minimality_checked and not gens.minimal and not quiet:
+    if not gens.minimal and not quiet:
         print(
             f"warning: {list(gens.elements)} is not a minimal generating set; "
             "results for p > 0 depend on the tuple as given",
@@ -278,7 +256,8 @@ def _warn_non_minimal(gens: GeneratorTuple, quiet: bool) -> None:
 
 
 # The batch job schema: every field a job may give, with its JSON type.  Each
-# field given is checked; a command takes the ones its function names.
+# field given is type-checked; then any key its command's function does not
+# name is rejected, as argv rejects an option the command does not take.
 _JOB_FIELDS = {"p": int, "n": int, "mu": int, "trunc": int, "verify": bool}
 
 
@@ -307,8 +286,10 @@ def _parse_job(line: str) -> tuple[str, GeneratorTuple, dict]:
         if key in job and type(job[key]) is not kind:
             name = "an integer" if kind is int else "true or false"
             raise ValidationError(f"batch job field {key!r} must be {name}, got {job[key]!r}")
-    takes = _parameters(COMMANDS[command][0])
-    fields = {key: job[key] for key in _JOB_FIELDS if key in job and key in takes}
+    untaken = job.keys() - _parameters(COMMANDS[command][0]) - {"command"}
+    if untaken:
+        raise ValidationError(f"batch command {command!r} does not take {sorted(untaken)}")
+    fields = {key: job[key] for key in _JOB_FIELDS if key in job}
     if "p" in fields:
         p = fields["p"]
         fields["p"] = _p_values(p, p, str(p), command)

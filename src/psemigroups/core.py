@@ -100,7 +100,6 @@ class GeneratorTuple:
 
     elements: tuple[int, ...]
     minimal: bool = True
-    minimality_checked: bool = False
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
@@ -154,7 +153,7 @@ def validate_generators(raw: Sequence[int]) -> GeneratorTuple:
     if g != 1:
         raise GcdNotOneError(f"gcd of generators is {g}, expected 1")
     _check_table_size(elements[0], "the minimality table")
-    return GeneratorTuple(elements, minimal=_is_minimal(elements), minimality_checked=True)
+    return GeneratorTuple(elements, minimal=_is_minimal(elements))
 
 
 def _is_minimal(elements: tuple[int, ...]) -> bool:

@@ -13,7 +13,6 @@ serves the decomposition components, which carry no Apery tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import add
 
@@ -39,20 +38,12 @@ def _count_table(gens: tuple[int, ...], limit: int, cap: int | None = None) -> l
     return counts
 
 
-@dataclass(frozen=True)
-class DenumerantTable:
-    """Exact representation counts for 0..limit."""
-
-    gens: GeneratorTuple
-    limit: int
-    counts: tuple[int, ...]
-
-
-def denumerant_table(gens: GeneratorTuple, limit: int) -> DenumerantTable:
+def denumerant_table(gens: GeneratorTuple, limit: int) -> list[int]:
+    """Exact representation counts: entry n is d(n), for 0..limit."""
     if limit < 0:
         raise ValidationError("table limit must be non-negative")
     _check_table_size(limit + 1, "the denumerant table")
-    return DenumerantTable(gens, limit, tuple(_count_table(gens.elements, limit)))
+    return _count_table(gens.elements, limit)
 
 
 def denumerant_oracle(gens: GeneratorTuple, n: int) -> int:

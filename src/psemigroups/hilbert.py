@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import InternalConsistencyError, PSemigroup, ValidationError, _check_table_size
-from .apery import AperySet
 from .closed_forms import _check_arith
 
 
@@ -60,10 +59,6 @@ class PowerSeries:
     def weighted_sum(self) -> int:
         """Sum of n * c_n, the formal derivative evaluated at 1."""
         return sum(n * c for n, c in enumerate(self.coefficients))
-
-
-def zero_series(truncation: int) -> PowerSeries:
-    return PowerSeries((0,) * (truncation + 1))
 
 
 def monomial(exponent: int, truncation: int) -> PowerSeries:
@@ -118,14 +113,17 @@ def gaps_series(semigroup: PSemigroup, truncation: int) -> PowerSeries:
     )
 
 
-def hilbert_from_apery(ap: AperySet, truncation: int) -> PowerSeries:
-    """Apery factorization: sum of x**m over the set, times 1/(1 - x**modulus)."""
+def hilbert_from_apery(ap: tuple[int, ...], truncation: int) -> PowerSeries:
+    """Apery factorization: sum of x**m over the set, times 1/(1 - x**len(ap)).
+
+    Holds for the Apery tuple modulo any generator: each residue class is
+    its Apery element plus the multiples of the modulus.
+    """
     _check_truncation(truncation)
-    if ap.modulus != ap.gens.least:
-        raise ValidationError("Apery Hilbert series requires the least generator")
+    a = len(ap)
     coeffs = [0] * (truncation + 1)
-    for m in ap.by_residue:
-        for e in range(m, truncation + 1, ap.modulus):
+    for m in ap:
+        for e in range(m, truncation + 1, a):
             coeffs[e] = 1
     return PowerSeries(tuple(coeffs))
 

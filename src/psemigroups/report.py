@@ -1,4 +1,4 @@
-"""Aggregated invariant report backing the command-line surface.
+"""The invariant report that ``psg invariants`` prints, as a dict.
 
 The report always cross-checks the Apery-formula invariants against the
 gap-derived ones (they are cheap and provably equal); ``verify=True`` adds
@@ -12,7 +12,6 @@ and ``denumerant`` commands share with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .core import GeneratorTuple, InternalConsistencyError, PSemigroup
@@ -25,7 +24,6 @@ from .enumeration import (
     minimal_generators_scan,
 )
 from .apery import (
-    AperySet,
     apery_set,
     frobenius_from_apery,
     genus_from_apery,
@@ -33,7 +31,6 @@ from .apery import (
     sylvester_sum_from_apery,
 )
 from .symmetry import (
-    ClassificationReport,
     classify,
     pf_via_apery_maximals,
     pf_via_gap_maximals,
@@ -42,20 +39,6 @@ from .symmetry import (
 )
 from .hilbert import PowerSeries, gaps_series, hilbert_direct, hilbert_from_apery
 from .closed_forms import arith_invariants, two_var_invariants, two_var_membership
-
-
-@dataclass(frozen=True)
-class InvariantReport:
-    gens: GeneratorTuple
-    p: int
-    least_element: int
-    frobenius: int
-    genus: int
-    sylvester_sum: int
-    power_sums: tuple[tuple[int, int], ...]
-    apery: AperySet
-    classification: ClassificationReport
-    embedding_dimension: int
 
 
 def _mismatch(what: str, formula, enumerated, gens: GeneratorTuple, p: int | None) -> None:
@@ -97,20 +80,21 @@ def check_denumerant(gens: GeneratorTuple, n: int, count: int, p: int | None = N
             _mismatch(f"membership of {n}", closed, count > p, gens, p)
 
 
-def _verify_extras(semigroup: PSemigroup, report: InvariantReport, gap_list: list[int]) -> None:
+def _verify_extras(semigroup: PSemigroup, report: dict, gap_list: list[int]) -> None:
     gens, p = semigroup.gens, semigroup.p
     fast, scanned = minimal_generators(semigroup), minimal_generators_scan(semigroup)
     if fast != scanned:
         _mismatch("minimal generators", fast, scanned, gens, p)
     if p >= 1:
-        valuation, scanned = report.classification.valuation, valuation_lengths_scan(semigroup)
+        valuation = tuple(report["valuation"].values())
+        scanned = valuation_lengths_scan(semigroup)
         if valuation != scanned:
             _mismatch("valuation lengths", valuation, scanned, gens, p)
-    for mu, value in report.power_sums:
+    for mu, value in report["power_sums"].items():
         brute = sum(n**mu for n in gap_list)
         if value != brute:
             _mismatch(f"power sum mu={mu}", value, brute, gens, p)
-    pf = list(report.classification.pseudo_frobenius_numbers)
+    pf = report["pf"]
     via_definition = pseudo_frobenius(semigroup)
     via_gaps = pf_via_gap_maximals(semigroup)
     via_apery = pf_via_apery_maximals(semigroup)
@@ -129,7 +113,7 @@ def _verify_extras(semigroup: PSemigroup, report: InvariantReport, gap_list: lis
         a, b = elements
         if a >= 2 and gcd(a, b) == 1:
             closed = two_var_invariants(a, b, p)
-            got = (report.frobenius, report.genus, report.sylvester_sum)
+            got = (report["frobenius"], report["genus"], report["sylvester_sum"])
             if closed != got:
                 _mismatch("two-generator closed forms", closed, got, gens, p)
     if len(elements) == 3:
@@ -143,14 +127,18 @@ def _verify_extras(semigroup: PSemigroup, report: InvariantReport, gap_list: lis
             and p <= a // 2
         ):
             frob, genus, least = arith_invariants(a, d, p)
-            got = (report.frobenius, report.genus, report.least_element)
+            got = (report["frobenius"], report["genus"], report["ell0"])
             if (frob, genus, least) != got:
                 _mismatch("arithmetic-triple closed forms", (frob, genus, least), got, gens, p)
 
 
 def build_invariant_report(
     gens: GeneratorTuple, p: int, mu_max: int = 3, verify: bool = False
-) -> InvariantReport:
+) -> dict:
+    """The ``invariants`` report: its fields in output order, every number an int.
+
+    ``power_sums`` maps each mu in 1..mu_max to the power sum of the gaps.
+    """
     semigroup = build_psemigroup(gens, p)
     ap = apery_set(semigroup)
     gap_list = gaps(semigroup)
@@ -164,19 +152,32 @@ def build_invariant_report(
         _mismatch("genus", genus, len(gap_list), gens, p)
     if sylvester != sum(gap_list):
         _mismatch("sylvester sum", sylvester, sum(gap_list), gens, p)
-    power_sums = tuple((mu, power_sum(semigroup, mu)) for mu in range(1, mu_max + 1))
-    report = InvariantReport(
-        gens=gens,
-        p=p,
-        least_element=semigroup.least_element,
-        frobenius=frob,
-        genus=genus,
-        sylvester_sum=sylvester,
-        power_sums=power_sums,
-        apery=ap,
-        classification=classify(semigroup),
-        embedding_dimension=len(minimal_generators(semigroup)),
-    )
+    power_sums = {mu: power_sum(semigroup, mu) for mu in range(1, mu_max + 1)}
+    cls = classify(semigroup)
+    valuation = None if cls.valuation is None else dict(zip(("d1", "d2", "d3"), cls.valuation))
+    report = {
+        "gens": list(gens.elements),
+        "gens_minimal": gens.minimal,
+        "p": p,
+        "ell0": semigroup.least_element,
+        "frobenius": frob,
+        "genus": genus,
+        "sylvester_sum": sylvester,
+        "power_sums": power_sums,
+        "apery": list(ap),
+        "pf": list(cls.pseudo_frobenius_numbers),
+        "type": cls.type_number,
+        "classification": {
+            "symmetric": cls.symmetric,
+            "pseudo_symmetric": cls.pseudo_symmetric,
+            "completely_symmetric": cls.completely_symmetric,
+            "irreducible": cls.irreducible,
+            "midpoint": cls.midpoint,
+            "midpoint_is_member": cls.midpoint_is_member,
+        },
+        "valuation": valuation,
+        "embedding_dimension": len(minimal_generators(semigroup)),
+    }
     if verify:
         _verify_extras(semigroup, report, gap_list)
     return report

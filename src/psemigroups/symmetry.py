@@ -57,9 +57,8 @@ def is_p_symmetric(semigroup: PSemigroup) -> bool:
     """Members and non-members pair off exactly under x -> total - x."""
     total = semigroup.frobenius + semigroup.least_element
     pairing = _pairs_exactly_one(semigroup.membership, total, skip_mid=False)
-    ap = apery_set(semigroup)
-    a = ap.modulus
-    ordered = ap.sorted_elements
+    ordered = sorted(apery_set(semigroup))
+    a = len(ordered)
     apery_pairing = all(
         ordered[i] + ordered[a - 1 - i] == total + a for i in range(a)
     )
@@ -85,9 +84,8 @@ def is_p_pseudo_symmetric(semigroup: PSemigroup) -> bool:
     mid = total // 2
     mid_member = semigroup.contains(mid)
     pairing = _pairs_exactly_one(semigroup.membership, total, skip_mid=True)
-    ap = apery_set(semigroup)
-    a = ap.modulus
-    by = ap.by_residue
+    by = apery_set(semigroup)
+    a = len(by)
     expected_mid = total + (0 if mid_member else 2 * a)
     apery_pairing = 2 * by[mid % a] == expected_mid and all(
         by[(mid + j) % a] + by[(mid - j) % a] == total + a for j in range(1, a)
@@ -165,16 +163,15 @@ def pf_via_apery_maximals(semigroup: PSemigroup) -> list[int]:
     """Maximal Apery elements (same order), each shifted down by the modulus."""
     if semigroup.frobenius < 0:
         return []
-    ap = apery_set(semigroup)
+    elements = apery_set(semigroup)
     least = semigroup.least_element
-    elements = ap.by_residue
     out = []
     for w in elements:
         dominated = any(
             v > w and semigroup.contains(v - w + least) for v in elements
         )
         if not dominated:
-            out.append(w - ap.modulus)
+            out.append(w - len(elements))
     return sorted(out)
 
 

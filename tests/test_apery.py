@@ -15,6 +15,8 @@ from psemigroups import (
     frobenius_from_apery,
     gaps,
     genus_from_apery,
+    hilbert_direct,
+    hilbert_from_apery,
     power_sum,
     sylvester_sum_from_apery,
     validate_generators,
@@ -32,11 +34,11 @@ CORPUS = [
 
 
 def test_apery_paper_examples(build):
-    assert apery_set(build((4, 5, 6), 8)).by_residue == (36, 41, 38, 43)
-    assert apery_set(build((6, 17, 28), 5)).by_residue == (168, 169, 152, 147, 130, 185)
-    assert apery_set(build((2, 3), 0)).by_residue == (0, 3)
-    assert apery_set(build((6, 7, 17, 28), 12)).by_residue == (90, 91, 86, 87, 94, 89)
-    assert apery_set(build((6, 7, 17, 28), 17)).by_residue == (102, 97, 98, 105, 106, 107)
+    assert apery_set(build((4, 5, 6), 8)) == (36, 41, 38, 43)
+    assert apery_set(build((6, 17, 28), 5)) == (168, 169, 152, 147, 130, 185)
+    assert apery_set(build((2, 3), 0)) == (0, 3)
+    assert apery_set(build((6, 7, 17, 28), 12)) == (90, 91, 86, 87, 94, 89)
+    assert apery_set(build((6, 7, 17, 28), 17)) == (102, 97, 98, 105, 106, 107)
 
 
 def test_apery_defining_conditions(build):
@@ -45,8 +47,8 @@ def test_apery_defining_conditions(build):
             S = build(tup, p)
             for a in tup:
                 ap = apery_set(S, a)
-                assert len(set(m % a for m in ap.by_residue)) == a
-                for j, m in enumerate(ap.by_residue):
+                assert len(set(m % a for m in ap)) == a
+                for j, m in enumerate(ap):
                     assert m % a == j
                     assert S.contains(m)
                     assert not S.contains(m - a)
@@ -57,10 +59,20 @@ def test_apery_rejects_non_generator(build):
         apery_set(build((4, 5, 6), 2), 7)
 
 
-def test_derived_ops_require_least_modulus(build):
-    ap = apery_set(build((4, 5, 6), 2), 5)
-    with pytest.raises(ValidationError):
-        frobenius_from_apery(ap)
+def test_apery_formulas_hold_for_every_generator_modulus(build):
+    # Each residue class modulo any generator a is its Apery element plus the
+    # multiples of a, so every formula reads the tuple modulo a as well.
+    for tup, ps in CORPUS:
+        for p in ps:
+            S = build(tup, p)
+            gap_list = gaps(S)
+            n = 2 * (S.frobenius + 1) + tup[-1]  # past every Apery element
+            for a in tup:
+                ap = apery_set(S, a)
+                assert frobenius_from_apery(ap) == S.frobenius
+                assert genus_from_apery(ap) == len(gap_list)
+                assert sylvester_sum_from_apery(ap) == sum(gap_list)
+                assert hilbert_from_apery(ap, n) == hilbert_direct(S, n)
 
 
 def test_frobenius_examples(build):
@@ -136,9 +148,9 @@ def test_apery_random_consistency(raw, p):
     gens = validate_generators(raw)
     S = build_psemigroup(gens, p)
     ap = apery_set(S)
-    a = ap.modulus
-    assert sorted(m % a for m in ap.by_residue) == list(range(a))
-    for j, m in enumerate(ap.by_residue):
+    a = len(ap)
+    assert sorted(m % a for m in ap) == list(range(a))
+    for j, m in enumerate(ap):
         assert m % a == j and S.contains(m) and not S.contains(m - a)
     gap_list = gaps(S)
     assert frobenius_from_apery(ap) == (gap_list[-1] if gap_list else -1)
@@ -157,4 +169,4 @@ def test_apery_gcd_scaling(build):
         for p in ps:
             big = apery_set(build(original, p), a1)
             small = apery_set(build(reduced, p), a1)
-            assert big.sorted_elements == tuple(d * m for m in small.sorted_elements)
+            assert tuple(sorted(big)) == tuple(d * m for m in sorted(small))

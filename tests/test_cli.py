@@ -467,6 +467,34 @@ def test_batch_rejects_mistyped_fields_and_goes_on(capsys, monkeypatch, job, wor
     assert out[1] == {"gens": [2, 5, 7], "n": 43, "denumerant": "17"}
 
 
+# A field of the schema that each command does not take.
+_UNTAKEN = {
+    "invariants": "n",
+    "sweep": "mu",
+    "hilbert": "n",
+    "membership": "trunc",
+    "denumerant": "p",
+    "decompose": "mu",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_UNTAKEN))
+@pytest.mark.parametrize("untaken", ["field", "unknown key"])
+def test_batch_rejects_fields_its_command_does_not_take(capsys, monkeypatch, command, untaken):
+    """As argv rejects an option its command does not take, batch rejects the field."""
+    key = _UNTAKEN[command] if untaken == "field" else "verfy"
+    job = {"command": command, "gens": [3, 5], key: True if key == "verfy" else 1}
+    good = {"command": "denumerant", "gens": [2, 5, 7], "n": 43}
+    code, out = _batch(monkeypatch, capsys, [json.dumps(job), json.dumps(good)])
+    assert code == 2
+    assert out[0] == {
+        "error": f"batch command {command!r} does not take [{key!r}]",
+        "exit": 2,
+        "line": 1,
+    }
+    assert out[1] == {"gens": [2, 5, 7], "n": 43, "denumerant": "17"}
+
+
 def test_batch_survives_lines_json_cannot_parse_and_rejects_a_missing_file(
     capsys, monkeypatch, tmp_path
 ):

@@ -19,7 +19,7 @@ from psemigroups.core import _representable
 def test_validate_paper_triple():
     gt = validate_generators([3, 10, 17])
     assert gt.elements == (3, 10, 17)
-    assert gt.minimal and gt.minimality_checked
+    assert gt.minimal
 
 
 def test_validate_sorts_and_dedupes():
@@ -55,7 +55,7 @@ def test_non_minimal_recorded_not_rejected():
     assert _representable(28, (6, 7, 17))
     gt = validate_generators([6, 7, 17, 28])
     assert gt.elements == (6, 7, 17, 28)
-    assert gt.minimality_checked and not gt.minimal
+    assert not gt.minimal
 
 
 def test_generator_one_allowed():

@@ -249,11 +249,11 @@ def test_symmetric_apery_translation_pairing(build):
         S = build(tup, p)
         assert is_p_symmetric(S)
         ap = apery_set(S)
-        a = ap.modulus
+        a = len(ap)
         total = S.frobenius + S.least_element
         up, down = (total + 1) // 2, (total - 1) // 2
         for j in range(a):
-            assert ap.by_residue[(up + j) % a] + ap.by_residue[(down - j) % a] == total + a
+            assert ap[(up + j) % a] + ap[(down - j) % a] == total + a
 
 
 def test_sweep_3_10_17(build):
