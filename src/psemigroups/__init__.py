@@ -41,7 +41,6 @@ from .apery import (
     sylvester_sum_from_apery,
 )
 from .symmetry import (
-    ClassificationReport,
     classify,
     is_p_completely_symmetric,
     is_p_pseudo_symmetric,
@@ -84,7 +83,6 @@ from .report import build_invariant_report
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassificationReport",
     "EmptyInputError",
     "FiniteSemigroup",
     "GcdNotOneError",

@@ -106,7 +106,7 @@ def is_irreducible_classic(semigroup: FiniteSemigroup) -> bool:
     """Symmetric or pseudo-symmetric in the ordinary sense (pairing at the
     Frobenius number), equivalently not an intersection of two proper
     oversemigroups."""
-    return _pairs_exactly_one(semigroup.membership, semigroup.frobenius, skip_mid=True)
+    return _pairs_exactly_one(semigroup.membership, semigroup.frobenius)
 
 
 def is_irreducible_shifted(semigroup: FiniteSemigroup) -> bool:
@@ -115,7 +115,6 @@ def is_irreducible_shifted(semigroup: FiniteSemigroup) -> bool:
     return _pairs_exactly_one(
         b"\x00" + semigroup.membership[1:],
         semigroup.frobenius + semigroup.multiplicity,
-        skip_mid=True,
     )
 
 
@@ -140,6 +139,8 @@ def irreducible_oversemigroup_avoiding(
     positive member s with x + s a gap, i.e. the gap word shifted down by x
     shares no bit with the positive-member word.
     """
+    if gap < 0:
+        raise ValidationError(f"{gap} is negative, not a gap")
     if semigroup.contains(gap):
         raise ValidationError(f"{gap} is a member, cannot be avoided")
     table = bytearray(semigroup.membership)

@@ -147,6 +147,10 @@ def membership_oracle(gens: GeneratorTuple, p: int, limit: int) -> bytes:
     the run that certifies every larger integer, since adding a1 never
     removes a representation.
     """
+    if limit < 0:
+        raise ValidationError("table limit must be non-negative")
+    if limit == 0:
+        return b""
     counts = _count_table(gens.elements, limit - 1, cap=p + 1)
     return bytes(1 if c > p else 0 for c in counts)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .core import InternalConsistencyError, PSemigroup, ValidationError, _check_table_size
 from .closed_forms import _check_arith
+from .symmetry import _FLIP
 
 
 @dataclass(frozen=True)
@@ -97,20 +98,20 @@ def _check_truncation(n: int) -> None:
     _check_table_size(n + 1, "the truncated series")
 
 
+def _window(semigroup: PSemigroup, truncation: int) -> bytes:
+    """Membership bytes for 0..truncation; every integer past the table is a member."""
+    _check_truncation(truncation)
+    return semigroup.membership[: truncation + 1].ljust(truncation + 1, b"\x01")
+
+
 def hilbert_direct(semigroup: PSemigroup, truncation: int) -> PowerSeries:
     """Membership indicator series straight from the table."""
-    _check_truncation(truncation)
-    return PowerSeries(
-        tuple(1 if semigroup.contains(n) else 0 for n in range(truncation + 1))
-    )
+    return PowerSeries(tuple(_window(semigroup, truncation)))
 
 
 def gaps_series(semigroup: PSemigroup, truncation: int) -> PowerSeries:
     """Indicator series of the non-members; complements hilbert_direct."""
-    _check_truncation(truncation)
-    return PowerSeries(
-        tuple(0 if semigroup.contains(n) else 1 for n in range(truncation + 1))
-    )
+    return PowerSeries(tuple(_window(semigroup, truncation).translate(_FLIP)))
 
 
 def hilbert_from_apery(ap: tuple[int, ...], truncation: int) -> PowerSeries:

@@ -1,9 +1,10 @@
 """The invariant report that ``psg invariants`` prints, as a dict.
 
-The report always cross-checks the Apery-formula invariants against the
-gap-derived ones (they are cheap and provably equal); ``verify=True`` adds
-the heavier re-derivations: membership from the count table, the scanned
-minimal generators and valuation lengths, brute-force power sums, three-way
+The report always cross-checks the Apery-formula Frobenius number, genus
+and gap sum against the ones read off the membership bytes (cheap, and
+provably equal); ``verify=True`` adds the heavier re-derivations:
+membership from the count table, the scanned minimal generators and
+valuation lengths, brute-force power sums over the gap list, three-way
 pseudo-Frobenius agreement, the Hilbert factorization identity, and the
 matching closed forms when the generator tuple has one.  ``check_series``
 and ``check_denumerant`` are the checks the ``hilbert``, ``membership``
@@ -12,6 +13,7 @@ and ``denumerant`` commands share with it.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd
 
 from .core import GeneratorTuple, InternalConsistencyError, PSemigroup
@@ -31,10 +33,12 @@ from .apery import (
     sylvester_sum_from_apery,
 )
 from .symmetry import (
+    _FLIP,
     classify,
     pf_via_apery_maximals,
     pf_via_gap_maximals,
     pseudo_frobenius,
+    valuation_lengths,
     valuation_lengths_scan,
 )
 from .hilbert import PowerSeries, gaps_series, hilbert_direct, hilbert_from_apery
@@ -80,7 +84,7 @@ def check_denumerant(gens: GeneratorTuple, n: int, count: int, p: int | None = N
             _mismatch(f"membership of {n}", closed, count > p, gens, p)
 
 
-def _verify_extras(semigroup: PSemigroup, report: dict, gap_list: list[int]) -> None:
+def _verify_extras(semigroup: PSemigroup, report: dict) -> None:
     gens, p = semigroup.gens, semigroup.p
     fast, scanned = minimal_generators(semigroup), minimal_generators_scan(semigroup)
     if fast != scanned:
@@ -90,6 +94,7 @@ def _verify_extras(semigroup: PSemigroup, report: dict, gap_list: list[int]) -> 
         scanned = valuation_lengths_scan(semigroup)
         if valuation != scanned:
             _mismatch("valuation lengths", valuation, scanned, gens, p)
+    gap_list = gaps(semigroup)
     for mu, value in report["power_sums"].items():
         brute = sum(n**mu for n in gap_list)
         if value != brute:
@@ -141,20 +146,24 @@ def build_invariant_report(
     """
     semigroup = build_psemigroup(gens, p)
     ap = apery_set(semigroup)
-    gap_list = gaps(semigroup)
+    table = semigroup.membership
     frob = frobenius_from_apery(ap)
     genus = genus_from_apery(ap)
     sylvester = sylvester_sum_from_apery(ap)
-    enum_frob = gap_list[-1] if gap_list else -1
+    enum_frob = table.rfind(0)
     if frob != semigroup.frobenius or frob != enum_frob:
         _mismatch("frobenius", frob, enum_frob, gens, p)
-    if genus != len(gap_list):
-        _mismatch("genus", genus, len(gap_list), gens, p)
-    if sylvester != sum(gap_list):
-        _mismatch("sylvester sum", sylvester, sum(gap_list), gens, p)
+    enum_genus = table.count(0)
+    if genus != enum_genus:
+        _mismatch("genus", genus, enum_genus, gens, p)
+    gap_sum = sum(compress(range(len(table)), table.translate(_FLIP)))
+    if sylvester != gap_sum:
+        _mismatch("sylvester sum", sylvester, gap_sum, gens, p)
     power_sums = {mu: power_sum(semigroup, mu) for mu in range(1, mu_max + 1)}
-    cls = classify(semigroup)
-    valuation = None if cls.valuation is None else dict(zip(("d1", "d2", "d3"), cls.valuation))
+    pf = pf_via_apery_maximals(semigroup)
+    valuation = (
+        dict(zip(("d1", "d2", "d3"), valuation_lengths(semigroup))) if p >= 1 else None
+    )
     report = {
         "gens": list(gens.elements),
         "gens_minimal": gens.minimal,
@@ -165,19 +174,12 @@ def build_invariant_report(
         "sylvester_sum": sylvester,
         "power_sums": power_sums,
         "apery": list(ap),
-        "pf": list(cls.pseudo_frobenius_numbers),
-        "type": cls.type_number,
-        "classification": {
-            "symmetric": cls.symmetric,
-            "pseudo_symmetric": cls.pseudo_symmetric,
-            "completely_symmetric": cls.completely_symmetric,
-            "irreducible": cls.irreducible,
-            "midpoint": cls.midpoint,
-            "midpoint_is_member": cls.midpoint_is_member,
-        },
+        "pf": pf,
+        "type": len(pf),
+        "classification": classify(semigroup),
         "valuation": valuation,
         "embedding_dimension": len(minimal_generators(semigroup)),
     }
     if verify:
-        _verify_extras(semigroup, report, gap_list)
+        _verify_extras(semigroup, report)
     return report

@@ -1,12 +1,14 @@
 """Symmetry classification, pseudo-Frobenius sets and valuation lengths.
 
-A semigroup is symmetric here when members and non-members pair off exactly
-under x <-> (least member + Frobenius) - x, and pseudo-symmetric when the
-same holds with the midpoint exempt.  Each classifier computes the window
-pairing and the equivalent Apery-set pairing and refuses to answer if they
-disagree.  The genus identity implied by the pairing is asserted in the
-forward direction only: its converse fails for some non-minimal generator
-tuples, where the gap count matches by accident.
+Symmetry and pseudo-symmetry are one pairing: members and non-members pair
+off exactly under x <-> total - x, with total = least member + Frobenius,
+and an integral midpoint is exempt.  The parity of total decides which of
+the two it is: symmetric when total is odd, pseudo-symmetric when it is
+even.  ``_pairing`` decides it once per call from the membership window and
+from the Apery tuple (classes r and total - r sum to total + a1) and
+refuses to answer if they disagree.  The genus identity implied by the
+pairing is asserted in the forward direction only: its converse fails for
+some non-minimal generator tuples, where the gap count matches by accident.
 
 The window pairing and ``pseudo_frobenius`` read only ``membership``,
 ``frobenius`` and ``least_element``, so the ordinary semigroups of the
@@ -15,104 +17,72 @@ decomposition (``FiniteSemigroup``, least element 0) run on them too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import InternalConsistencyError, PSemigroup, ValidationError
 from .apery import apery_set
 from .enumeration import _positive_apery, gaps
 
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    """Symmetry flags plus the data they are decided from."""
-
-    symmetric: bool
-    pseudo_symmetric: bool
-    completely_symmetric: bool
-    irreducible: bool
-    pseudo_frobenius_numbers: tuple[int, ...]
-    type_number: int
-    midpoint: int | None
-    midpoint_is_member: bool | None
-    valuation: tuple[int, int, int] | None
-
-
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def _pairs_exactly_one(membership: bytes, total: int, skip_mid: bool) -> bool:
+def _pairs_exactly_one(membership: bytes, total: int) -> bool:
     """Exactly one of x and total - x is a member, for 0 <= x <= total.
 
     ``membership`` tabulates 0..len - 1; every integer past it is a member.
-    A self-paired midpoint always fails unless ``skip_mid`` exempts it.
+    An integral midpoint pairs with itself and is exempt.
     """
-    if total % 2 == 0 and not skip_mid:
-        return False
     window = membership[: total + 1].ljust(total + 1, b"\x01")
     half = (total + 1) // 2
     return window[:half].translate(_FLIP) == window[::-1][:half]
 
 
-def is_p_symmetric(semigroup: PSemigroup) -> bool:
-    """Members and non-members pair off exactly under x -> total - x."""
+def _pairing(semigroup: PSemigroup) -> tuple[bool, int, bool | None]:
+    """The pairing under x <-> total - x: (holds, total, midpoint is a member).
+
+    The midpoint flag is None when total is odd.  The window answer must match
+    the Apery one, where class r pairs with class total - r: their elements
+    sum to total + a, except in the midpoint's own class, whose element is
+    the midpoint when that is a member and the midpoint plus a when not.
+    When the pairing holds, the gap count must be one per pair plus one for
+    a non-member midpoint.
+    """
     total = semigroup.frobenius + semigroup.least_element
-    pairing = _pairs_exactly_one(semigroup.membership, total, skip_mid=False)
-    ordered = sorted(apery_set(semigroup))
-    a = len(ordered)
-    apery_pairing = all(
-        ordered[i] + ordered[a - 1 - i] == total + a for i in range(a)
-    )
+    mid_member = semigroup.contains(total // 2) if total % 2 == 0 else None
+    pairing = _pairs_exactly_one(semigroup.membership, total)
+    ap = apery_set(semigroup)
+    a = len(ap)
+    expected = [total + a] * a
+    if mid_member is not None:
+        expected[total // 2 % a] = total + (0 if mid_member else 2 * a)
+    apery_pairing = [ap[r] + ap[(total - r) % a] for r in range(a)] == expected
+    where = f"gens={semigroup.gens.elements} p={semigroup.p}"
     if pairing != apery_pairing:
         raise InternalConsistencyError(
-            f"symmetry window pairing ({pairing}) and Apery pairing "
-            f"({apery_pairing}) disagree for gens={semigroup.gens.elements} "
-            f"p={semigroup.p}"
+            f"window pairing ({pairing}) and Apery pairing ({apery_pairing}) "
+            f"disagree for {where}"
         )
-    if pairing and 2 * semigroup.gap_count != total + 1:
+    genus = total // 2 + (0 if mid_member else 1)
+    if pairing and semigroup.gap_count != genus:
         raise InternalConsistencyError(
-            f"symmetric pairing holds but gap count {semigroup.gap_count} != "
-            f"({total}+1)/2 for gens={semigroup.gens.elements} p={semigroup.p}"
+            f"pairing holds but gap count {semigroup.gap_count} != {genus} for {where}"
         )
-    return pairing
+    return pairing, total, mid_member
+
+
+def is_p_symmetric(semigroup: PSemigroup) -> bool:
+    """Members and non-members pair off exactly under x -> total - x, total odd."""
+    pairing, total, _ = _pairing(semigroup)
+    return pairing and total % 2 == 1
 
 
 def is_p_pseudo_symmetric(semigroup: PSemigroup) -> bool:
-    """Same pairing with the (integral) midpoint exempt."""
-    total = semigroup.frobenius + semigroup.least_element
-    if total % 2 != 0:
-        return False
-    mid = total // 2
-    mid_member = semigroup.contains(mid)
-    pairing = _pairs_exactly_one(semigroup.membership, total, skip_mid=True)
-    by = apery_set(semigroup)
-    a = len(by)
-    expected_mid = total + (0 if mid_member else 2 * a)
-    apery_pairing = 2 * by[mid % a] == expected_mid and all(
-        by[(mid + j) % a] + by[(mid - j) % a] == total + a for j in range(1, a)
-    )
-    if pairing != apery_pairing:
-        raise InternalConsistencyError(
-            f"pseudo-symmetry window pairing ({pairing}) and Apery pairing "
-            f"({apery_pairing}) disagree for gens={semigroup.gens.elements} "
-            f"p={semigroup.p}"
-        )
-    if pairing:
-        expected_genus = mid + (0 if mid_member else 1)
-        if semigroup.gap_count != expected_genus:
-            raise InternalConsistencyError(
-                f"pseudo-symmetric pairing holds but gap count "
-                f"{semigroup.gap_count} != {expected_genus} for "
-                f"gens={semigroup.gens.elements} p={semigroup.p}"
-            )
-    return pairing
+    """Same pairing with total even and its midpoint exempt."""
+    pairing, total, _ = _pairing(semigroup)
+    return pairing and total % 2 == 0
 
 
 def is_p_completely_symmetric(semigroup: PSemigroup) -> bool:
     """Symmetric with no gaps above the least member."""
-    return (
-        is_p_symmetric(semigroup)
-        and semigroup.least_element == semigroup.frobenius + 1
-    )
+    return classify(semigroup)["completely_symmetric"]
 
 
 def pseudo_frobenius(semigroup: PSemigroup) -> list[int]:
@@ -200,36 +170,19 @@ def valuation_lengths_scan(semigroup: PSemigroup) -> tuple[int, int, int]:
     return (d3 + 1, total + 1, d3)
 
 
-def classify(semigroup: PSemigroup) -> ClassificationReport:
-    """Full symmetry classification with cross-validated ingredients.
+def classify(semigroup: PSemigroup) -> dict:
+    """The symmetry flags and the midpoint they turn on, from one pairing pass.
 
-    Pseudo-Frobenius numbers come from the Apery maximals, which only scan
-    min(gens) elements; the quadratic definitional search stays available as
-    ``pseudo_frobenius`` and is cross-checked in the verification paths.
+    ``midpoint`` and ``midpoint_is_member`` are None when total is odd.
     """
-    symmetric = is_p_symmetric(semigroup)
-    pseudo = is_p_pseudo_symmetric(semigroup)
-    if symmetric and pseudo:
-        raise InternalConsistencyError(
-            "classified as both symmetric and pseudo-symmetric "
-            f"(gens={semigroup.gens.elements} p={semigroup.p})"
-        )
-    total = semigroup.frobenius + semigroup.least_element
-    midpoint = total // 2 if total % 2 == 0 else None
-    midpoint_is_member = (
-        semigroup.contains(midpoint) if midpoint is not None else None
-    )
-    pf = tuple(pf_via_apery_maximals(semigroup))
-    valuation = valuation_lengths(semigroup) if semigroup.p >= 1 else None
-    return ClassificationReport(
-        symmetric=symmetric,
-        pseudo_symmetric=pseudo,
-        completely_symmetric=symmetric
+    pairing, total, mid_member = _pairing(semigroup)
+    symmetric = pairing and total % 2 == 1
+    return {
+        "symmetric": symmetric,
+        "pseudo_symmetric": pairing and total % 2 == 0,
+        "completely_symmetric": symmetric
         and semigroup.least_element == semigroup.frobenius + 1,
-        irreducible=symmetric or pseudo,
-        pseudo_frobenius_numbers=pf,
-        type_number=len(pf),
-        midpoint=midpoint,
-        midpoint_is_member=midpoint_is_member,
-        valuation=valuation,
-    )
+        "irreducible": pairing,
+        "midpoint": None if mid_member is None else total // 2,
+        "midpoint_is_member": mid_member,
+    }

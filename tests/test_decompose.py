@@ -175,6 +175,8 @@ def test_avoiding_completion(build):
     assert is_subsemigroup(T, C)
     with pytest.raises(ValidationError):
         irreducible_oversemigroup_avoiding(T, 41)
+    with pytest.raises(ValidationError):
+        irreducible_oversemigroup_avoiding(T, -1)
 
 
 def test_verify_decomposition_rejects_bad_lists(build):

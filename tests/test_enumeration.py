@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from psemigroups import (
     TableLimitError,
+    ValidationError,
     apery_set,
     build_psemigroup,
     denumerant_oracle,
@@ -249,6 +250,14 @@ def test_apery_build_edge_cases(raw, p):
     assert S.membership == membership_oracle(gens, p, S.frontier)
     assert S.frontier == S.frobenius + 1 + gens.least
     assert minimal_generators(S) == minimal_generators_scan(S)
+
+
+def test_membership_oracle_short_limits():
+    gens = validate_generators([3, 5])
+    assert membership_oracle(gens, 1, 0) == b""
+    assert membership_oracle(gens, 1, 1) == b"\x00"
+    with pytest.raises(ValidationError):
+        membership_oracle(gens, 1, -1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,5 @@
+import re
+from dataclasses import replace
 from functools import reduce
 from math import gcd
 
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psemigroups import (
+    InternalConsistencyError,
     ValidationError,
     apery_set,
     classify,
@@ -59,8 +62,8 @@ def test_pseudo_symmetric_examples(build):
     assert not is_p_pseudo_symmetric(build((6, 17, 28), 5))  # odd total
 
 
-def _pairs_by_loop(membership, total, skip_mid):
-    """The window pairing by definition, one integer at a time."""
+def _pairs_by_loop(membership, total):
+    """The window pairing by definition, one integer at a time, midpoint exempt."""
 
     def member(n):
         return n >= len(membership) or bool(membership[n])
@@ -68,7 +71,7 @@ def _pairs_by_loop(membership, total, skip_mid):
     return all(
         member(x) != member(total - x)
         for x in range(total // 2 + 1)
-        if not (skip_mid and 2 * x == total)
+        if 2 * x != total
     )
 
 
@@ -76,16 +79,13 @@ def _pairs_by_loop(membership, total, skip_mid):
 @given(
     st.binary(max_size=12).map(lambda raw: bytes(b & 1 for b in raw)),
     st.integers(min_value=-1, max_value=20),
-    st.booleans(),
 )
-def test_pairing_window_matches_definition(membership, total, skip_mid):
-    assert _pairs_exactly_one(membership, total, skip_mid) == _pairs_by_loop(
-        membership, total, skip_mid
-    )
+def test_pairing_window_matches_definition(membership, total):
+    assert _pairs_exactly_one(membership, total) == _pairs_by_loop(membership, total)
 
 
 def test_pairing_window_of_full_monoid(build):
-    assert _pairs_exactly_one(b"", -1, skip_mid=False)
+    assert _pairs_exactly_one(b"", -1)
     S = build((1, 2), 0)
     assert S.frobenius == -1 and is_p_symmetric(S)
     full = FiniteSemigroup.from_table(b"")
@@ -100,7 +100,7 @@ def test_pairing_window_longer_than_table(build, gens, p, total, frontier):
     S = build(gens, p)
     assert S.frobenius + S.least_element == total
     assert len(S.membership) == S.frontier == frontier
-    assert _pairs_exactly_one(S.membership, total, skip_mid=False)
+    assert _pairs_exactly_one(S.membership, total)
     assert is_p_symmetric(S)
 
 
@@ -111,8 +111,7 @@ def test_pairing_even_total_needs_exempt_midpoint(build, gens, p, mid_member):
     S = build(gens, p)
     total = S.frobenius + S.least_element
     assert total % 2 == 0 and S.contains(total // 2) == mid_member
-    assert _pairs_exactly_one(S.membership, total, skip_mid=True)
-    assert not _pairs_exactly_one(S.membership, total, skip_mid=False)
+    assert _pairs_exactly_one(S.membership, total)
     assert is_p_pseudo_symmetric(S) and not is_p_symmetric(S)
 
 
@@ -279,21 +278,61 @@ def test_gap_free_degenerate_case(build):
     assert pf_via_gap_maximals(S) == []
     assert pf_via_apery_maximals(S) == []
     report = classify(S)
-    assert report.type_number == 0
-    assert report.symmetric and report.completely_symmetric
+    assert report["symmetric"] and report["completely_symmetric"]
 
 
 def test_classify_report(build):
-    report = classify(build((6, 17, 28), 5))
-    assert report.pseudo_frobenius_numbers == (163, 179)
-    assert report.type_number == 2
-    assert not report.irreducible
-    assert report.midpoint is None
+    S = build((6, 17, 28), 5)
+    report = classify(S)
+    assert list(report) == [
+        "symmetric",
+        "pseudo_symmetric",
+        "completely_symmetric",
+        "irreducible",
+        "midpoint",
+        "midpoint_is_member",
+    ]
+    assert pf_via_apery_maximals(S) == [163, 179]
+    assert not report["irreducible"]
+    assert report["midpoint"] is None and report["midpoint_is_member"] is None
     report = classify(build((6, 7, 17, 28), 12))
-    assert report.pseudo_symmetric
-    assert report.midpoint == 87 and report.midpoint_is_member
-    report = classify(build((2, 3), 0))
-    assert report.symmetric and report.valuation is None
+    assert report["pseudo_symmetric"]
+    assert report["midpoint"] == 87 and report["midpoint_is_member"]
+    assert classify(build((2, 3), 0))["symmetric"]
+
+
+def _where(S):
+    return re.escape(f"gens={S.gens.elements} p={S.p}")
+
+
+# odd total; even total with a member midpoint; even total with a gap midpoint
+@pytest.mark.parametrize("gens, p", [((4, 5, 6), 8), ((3, 7, 11), 4), ((6, 7, 17, 28), 17)])
+def test_corrupted_apery_disagrees_with_window(build, gens, p):
+    S = build(gens, p)
+    assert classify(S)["irreducible"]
+    ap = list(S.apery)
+    a = len(ap)
+    # one class off by the modulus breaks the sum with its partner class
+    ap[(S.frobenius + S.least_element) // 2 % a] += a
+    bad = replace(S, apery=tuple(ap))
+    for check in (classify, is_p_symmetric, is_p_pseudo_symmetric):
+        with pytest.raises(InternalConsistencyError, match=_where(S)):
+            check(bad)
+
+
+# odd total; even total with a gap midpoint.  A corrupted byte reaches the
+# genus check only past the pairing window, which only p = 0 tables have
+# (for p >= 1 the least member is at least a1); at p = 0 a member midpoint m
+# would make the Frobenius number 2m a member, so that case cannot arise.
+@pytest.mark.parametrize("gens", [(2, 3), (3, 4, 5)])
+def test_corrupted_membership_fails_genus_identity(build, gens):
+    S = build(gens, 0)
+    assert classify(S)["irreducible"]
+    assert S.frontier > S.frobenius + S.least_element + 1
+    bad = replace(S, membership=S.membership[:-1] + b"\x00")
+    for check in (classify, is_p_symmetric, is_p_pseudo_symmetric):
+        with pytest.raises(InternalConsistencyError, match="gap count.*" + _where(S)):
+            check(bad)
 
 
 gen_lists = (
@@ -319,6 +358,12 @@ def test_random_classification_consistency(raw, p):
     if sym:
         assert 2 * S.gap_count == S.frobenius + S.least_element + 1
         assert pf == [S.frobenius]
+    flags = classify(S)
+    total = S.frobenius + S.least_element
+    pairing = _pairs_by_loop(S.membership, total)
+    assert flags["irreducible"] == pairing
+    assert flags["symmetric"] == sym == (pairing and total % 2 == 1)
+    assert flags["pseudo_symmetric"] == pseudo == (pairing and total % 2 == 0)
 
 
 def test_embedding_dimension_and_type_bounds(build):
