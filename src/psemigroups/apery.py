@@ -33,7 +33,8 @@ def apery_set(semigroup: PSemigroup, modulus: int | None = None) -> tuple[int, .
 
     Entry j is the least member congruent to j, so the tuple's length is its
     modulus.  The least modulus returns the tuple the semigroup was built
-    from; any other generator scans each residue class upwards.
+    from; for any other generator, one C-level search per residue class
+    finds the first member in that class's stride of the membership table.
     """
     a = semigroup.gens.least if modulus is None else modulus
     if a == semigroup.gens.least:
@@ -42,10 +43,10 @@ def apery_set(semigroup: PSemigroup, modulus: int | None = None) -> tuple[int, .
         raise ModulusNotGeneratorError(f"{a} is not one of the generators")
     by_residue = []
     for j in range(a):
-        n = j
-        while not semigroup.contains(n):
-            n += a
-        by_residue.append(n)
+        row = semigroup.membership[j::a]
+        i = row.find(1)
+        # everything at or past the end of the table is a member
+        by_residue.append(j + a * (len(row) if i == -1 else i))
     return tuple(by_residue)
 
 

@@ -12,9 +12,9 @@ and forces maximality).  The completion is one downward scan over the table,
 because the greedy adjoins gaps in strictly decreasing order.
 
 The completion, ``intersect``, ``is_subsemigroup``, the uncovered-gap walk
-and the pruning read a table as a Python int "word": byte n of the table is
-bits 8n..8n+7 of ``int.from_bytes(table, "little")``, so bit 8n is set iff n
-is a member.  Tables of unequal length are padded with member bytes first.
+and the pruning read a table as a Python int "word" built by
+``symmetry._bits``: bit n is set iff n is a member (for a gap word, iff n is
+a gap).  Tables of unequal length are padded with member bytes first.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ from itertools import accumulate
 
 from .core import InternalConsistencyError, PSemigroup, ValidationError, validate_generators
 from .enumeration import build_psemigroup
-from .symmetry import _FLIP, _pairs_exactly_one, pseudo_frobenius
+from .symmetry import _FLIP, _bits, _pairs_exactly_one, pseudo_frobenius
+
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class FiniteSemigroup:
 
 def _word(table: bytes, length: int) -> int:
     """Members of ``table`` padded with members to ``length`` bytes, as a word."""
-    return int.from_bytes(table.ljust(length, b"\x01"), "little")
+    return _bits(table.ljust(length, b"\x01"))
 
 
 def is_subsemigroup(inner: FiniteSemigroup, outer: FiniteSemigroup) -> bool:
@@ -99,7 +101,10 @@ def intersect(components: list[FiniteSemigroup]) -> FiniteSemigroup:
     word = -1
     for component in components:
         word &= _word(component.membership, length)
-    return FiniteSemigroup.from_table(word.to_bytes(length, "little"))
+    # bit ``length`` is a padding member, so the digits cover the table even
+    # when it is empty; ``from_table`` strips it again
+    digits = format(word | 1 << length, "b")[::-1].encode()
+    return FiniteSemigroup.from_table(digits.translate(_FROM_DIGITS))
 
 
 def is_irreducible_classic(semigroup: FiniteSemigroup) -> bool:
@@ -145,15 +150,15 @@ def irreducible_oversemigroup_avoiding(
         raise ValidationError(f"{gap} is a member, cannot be avoided")
     table = bytearray(semigroup.membership)
     size = len(table)
-    gap_word = int.from_bytes(table.translate(_FLIP), "little")
-    positive_word = int.from_bytes(table, "little") & ~1
+    gap_word = _bits(table.translate(_FLIP))
+    positive_word = _bits(table) & ~1
     for x in range(size - 1, 0, -1):
         if table[x] or x == gap or (2 * x < size and not table[2 * x]):
             continue
-        if (gap_word >> 8 * x) & positive_word == 0:
+        if (gap_word >> x) & positive_word == 0:
             table[x] = 1
-            gap_word ^= 1 << 8 * x
-            positive_word |= 1 << 8 * x
+            gap_word ^= 1 << x
+            positive_word |= 1 << x
     current = FiniteSemigroup.from_table(table)
     # a completion holding its gap would never cover it in the decomposition walk
     if current.contains(gap) or not is_irreducible_classic(current):
@@ -179,9 +184,9 @@ def irreducible_decomposition(semigroup: FiniteSemigroup) -> list[FiniteSemigrou
     components: list[FiniteSemigroup] = []
     words: list[int] = []
     # gaps of the input that no component excludes yet
-    uncovered = int.from_bytes(semigroup.membership.translate(_FLIP), "little")
+    uncovered = _bits(semigroup.membership.translate(_FLIP))
     while uncovered:
-        target = (uncovered.bit_length() - 1) // 8
+        target = uncovered.bit_length() - 1
         component = irreducible_oversemigroup_avoiding(semigroup, target)
         components.append(component)
         words.append(_word(component.membership, length))

@@ -149,6 +149,7 @@ def membership_oracle(gens: GeneratorTuple, p: int, limit: int) -> bytes:
     """
     if limit < 0:
         raise ValidationError("table limit must be non-negative")
+    _check_table_size(limit, "the membership oracle")
     if limit == 0:
         return b""
     counts = _count_table(gens.elements, limit - 1, cap=p + 1)

@@ -13,6 +13,8 @@ some non-minimal generator tuples, where the gap count matches by accident.
 The window pairing and ``pseudo_frobenius`` read only ``membership``,
 ``frobenius`` and ``least_element``, so the ordinary semigroups of the
 decomposition (``FiniteSemigroup``, least element 0) run on them too.
+``_bits`` is the package's one word format, bit n for integer n, shared by
+``pf_via_gap_maximals`` and every word of the decomposition.
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ from .apery import apery_set
 from .enumeration import _positive_apery, gaps
 
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bits(table: bytes) -> int:
+    """The table as a word: bit n is set iff ``table[n]`` is 1 (0 when empty)."""
+    return int(table[::-1].translate(_DIGITS), 2) if table else 0
 
 
 def _pairs_exactly_one(membership: bytes, total: int) -> bool:
@@ -116,17 +124,25 @@ def pseudo_frobenius(semigroup: PSemigroup) -> list[int]:
 
 
 def pf_via_gap_maximals(semigroup: PSemigroup) -> list[int]:
-    """Maximal gaps under x <= y iff y - x is 0 or a positive shifted member."""
+    """Maximal gaps under x <= y iff y - x is 0 or a positive shifted member.
+
+    One shift-AND per gap on bit-per-integer words: x is dominated iff some
+    gap x + t, t >= 1, has least + t a member, i.e. the gap word shifted
+    down by x meets the word of those shifts t.  That is genus shift-ANDs of
+    F-bit integers, run in C, against genus^2 ``contains`` calls for the
+    pairwise definition.  The words come from ``_bits``, the builder that
+    every word of the decomposition shares.  ``pseudo_frobenius`` (the
+    per-integer definition) and ``pf_via_apery_maximals`` (the Apery tuple)
+    share no kernel with it, so the three-way ``--verify`` check keeps two
+    witnesses independent of the word form.
+    """
+    g = semigroup.frobenius
+    table = semigroup.membership
     least = semigroup.least_element
-    gap_list = gaps(semigroup)
-    out = []
-    for x in gap_list:
-        dominated = any(
-            y > x and semigroup.contains(y - x + least) for y in gap_list
-        )
-        if not dominated:
-            out.append(x)
-    return out
+    gap_word = _bits(table.translate(_FLIP))
+    # bit t is set iff t >= 1 and least + t is a member; t > g never matters
+    shifts = _bits(table[least + 1 : least + g + 1].ljust(g, b"\x01")) << 1
+    return [x for x in gaps(semigroup) if (gap_word >> x) & shifts == 0]
 
 
 def pf_via_apery_maximals(semigroup: PSemigroup) -> list[int]:

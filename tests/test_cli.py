@@ -308,8 +308,7 @@ def test_parser_reused_after_errors_gives_fresh_process_output(capsys):
 @pytest.mark.parametrize(
     "workload, count, extra",
     [
-        # report keys replay without --verify: its O(genus^2) oracles would take minutes.
-        ("report", 1200, []),
+        ("report", 1200, ["--verify"]),
         ("verify", 2054, []),  # every key already carries --verify
         ("decompose", 408, ["--verify"]),
     ],
@@ -616,6 +615,8 @@ def _flip_first_byte(membership: bytes) -> bytes:
         ("report", "denumerant_oracle", lambda d: d + 1, "membership -n 43", "p=1"),
         ("report", "denumerant_oracle", lambda d: d + 1, "denumerant -n 43", ""),
         ("report", "two_var_membership", lambda member: not member, "membership -n 43", "p=1"),
+        ("report", "pf_via_gap_maximals", lambda pf: pf[:-1], "invariants", "p=1"),
+        ("report", "pseudo_frobenius", lambda pf: pf[:-1], "invariants", "p=1"),
     ],
 )
 def test_verify_cross_checks_exit_1_naming_gens_and_p(

@@ -23,6 +23,7 @@ from psemigroups import (
     validate_generators,
     verify_decomposition,
 )
+from psemigroups.symmetry import _FLIP, _bits
 
 # the two components printed for the p = 2 semigroup over {5, 9, 16}
 PAIR_A = sorted(set([41, 43, 45, 46, 48]) | set(range(50, 200)))
@@ -236,7 +237,15 @@ tables = st.lists(st.booleans(), max_size=40).map(
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(tables, min_size=1, max_size=4))
+@example([FiniteSemigroup(b"")])
 def test_word_kernels_match_per_integer_definitions(components):
+    for component in components:
+        table = component.membership
+        word = _bits(table)
+        assert [word >> n & 1 for n in range(len(table))] == list(table)
+        assert word >> len(table) == 0
+        gap_word = _bits(table.translate(_FLIP))
+        assert gap_word == ~word & ((1 << len(table)) - 1)
     assert intersect(components) == _intersect_oracle(components)
     for inner in components:
         for outer in components:
@@ -245,6 +254,9 @@ def test_word_kernels_match_per_integer_definitions(components):
 
 def test_word_kernels_on_unequal_lengths_and_the_full_monoid():
     full = FiniteSemigroup.from_table(b"")
+    assert _bits(b"") == 0 and _bits(b"\x00") == 0 and _bits(b"\x01") == 1
+    assert _bits(bytes([1, 0, 1, 1])) == 0b1101
+    assert pf_via_gap_maximals(full) == pseudo_frobenius(full) == []
     short = FiniteSemigroup.from_generators([2, 3])  # table 1 0
     long = FiniteSemigroup.from_generators([4, 5, 11])  # Frobenius 7
     for components in ([full], [full, full], [short, full], [long, short], [short, long, full]):

@@ -185,6 +185,20 @@ def test_denumerant_table_limit(monkeypatch):
         denumerant_table(gens, 1000)
 
 
+def test_membership_oracle_limit(monkeypatch):
+    # the oracle's count table has one entry per integer below the limit
+    monkeypatch.setenv("PSG_MAX_TABLE", "1000")
+    gens = validate_generators([3, 5])
+    with pytest.raises(TableLimitError, match="membership oracle"):
+        membership_oracle(gens, 1, 200000)
+    with pytest.raises(TableLimitError):
+        membership_oracle(gens, 1, 1001)
+    S = build_psemigroup(gens, 1)
+    table = membership_oracle(gens, 1, 1000)
+    assert len(table) == 1000
+    assert table == S.membership.ljust(1000, b"\x01")
+
+
 SCALE_CASE = ((1009, 1201, 1499), 50)
 
 
