@@ -25,7 +25,12 @@ from .core import (
     ValidationError,
     validate_generators,
 )
-from .enumeration import build_psemigroup, denumerant_table, minimal_generators_scan
+from .enumeration import (
+    build_psemigroup,
+    denumerant_table,
+    membership_oracle,
+    minimal_generators_scan,
+)
 from .hilbert import gaps_series, hilbert_direct
 from .decompose import (
     FiniteSemigroup,
@@ -117,25 +122,52 @@ def cmd_denumerant(gens: GeneratorTuple, n: int = 0, verify: bool = False) -> di
     return {"gens": list(gens.elements), "n": n, "denumerant": str(count)}
 
 
+def _spans(generators: list[int], component: FiniteSemigroup) -> bool:
+    """Are ``generators`` minimal, and do they span exactly ``component``?
+
+    The span comes from the count-table oracle, which shares nothing with
+    the scan that listed the generators; the run of min(generators) members
+    after the Frobenius number certifies every larger integer.  Validation
+    needs two generators, so the full monoid's ``[1]`` is compared with the
+    empty table directly.
+    """
+    if generators == [1]:
+        return component == FiniteSemigroup(b"")
+    try:
+        checked = validate_generators(generators)
+    except ValidationError:
+        return False
+    span = membership_oracle(checked, 0, component.frobenius + 1 + checked.least)
+    return checked.minimal and FiniteSemigroup.from_table(span) == component
+
+
 def cmd_decompose(gens: GeneratorTuple, p: int = 0, verify: bool = False) -> dict:
     base = FiniteSemigroup.from_psemigroup(build_psemigroup(gens, p))
     components = irreducible_decomposition(base)
+    where = f"gens={gens.elements} p={p}"
     if intersect(components) != base:
-        raise InternalConsistencyError("decomposition intersection mismatch")
+        raise InternalConsistencyError(f"decomposition intersection mismatch for {where}")
     if verify and not verify_decomposition(base, components):
-        raise InternalConsistencyError("decomposition failed the validity checker")
+        raise InternalConsistencyError(f"decomposition failed the validity checker for {where}")
+    listed = [minimal_generators_scan(component) for component in components]
+    for generators, component in zip(listed, components):
+        if verify and not _spans(generators, component):
+            raise InternalConsistencyError(
+                f"generators {generators} do not span the component with "
+                f"Frobenius number {component.frobenius} minimally for {where}"
+            )
     return {
         "gens": list(gens.elements),
         "p": p,
         "count": len(components),
         "components": [
             {
-                "generators": minimal_generators_scan(component),
+                "generators": generators,
                 "frobenius": component.frobenius,
                 "genus": component.genus,
                 "irreducible": is_irreducible_classic(component),
             }
-            for component in components
+            for generators, component in zip(listed, components)
         ],
     }
 

@@ -164,9 +164,12 @@ def _is_minimal(elements: tuple[int, ...]) -> bool:
     iff least[a % a1] <= a.  Taking a walks each of the gcd(a1, a) residue
     cycles of step a once, from its smallest entry, which no new path can
     improve (the round-robin update of Boecker and Liptak, Algorithmica 48,
-    2007): O(a1) per generator.
+    2007): O(a1) per generator.  Tuples below 2 * a1 skip it: any sum of two
+    or more generators is at least 2 * a1.
     """
     a1, last = elements[0], elements[-1]
+    if last < 2 * a1:
+        return True
     least = [0] + [inf] * (a1 - 1)  # inf: no combination in this class yet
     for a in elements[1:-1]:
         if least[a % a1] <= a:

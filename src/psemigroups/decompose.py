@@ -8,8 +8,9 @@ functions of ``enumeration`` and ``symmetry``.  The decomposition walks the
 uncovered gaps from the top: for each one it greedily completes the
 semigroup to an irreducible oversemigroup avoiding that gap (keep adjoining
 other special gaps until none remain, which pins the Frobenius number there
-and forces maximality).  The completion is one downward scan over the table,
-because the greedy adjoins gaps in strictly decreasing order.
+and forces maximality).  The completion is one downward scan over the gaps
+below that gap, because the greedy adjoins gaps in strictly decreasing order
+and every integer above the gap ends up a member.
 
 The completion, ``intersect``, ``is_subsemigroup``, the uncovered-gap walk
 and the pruning read a table as a Python int "word" built by
@@ -20,7 +21,7 @@ a gap).  Tables of unequal length are padded with member bytes first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from .core import InternalConsistencyError, PSemigroup, ValidationError, validate_generators
 from .enumeration import build_psemigroup
@@ -142,18 +143,20 @@ def irreducible_oversemigroup_avoiding(
     ``gap``.  Scanning x downward, x is adjoined iff it is a special gap of
     the current semigroup: a gap, not ``gap``, with 2x a member, and no
     positive member s with x + s a gap, i.e. the gap word shifted down by x
-    shares no bit with the positive-member word.
+    shares no bit with the positive-member word.  Every gap above ``gap`` is
+    adjoined (the Frobenius number is always special, and the result's only
+    special gap is ``gap``), so the scan starts from the table cut there.
     """
     if gap < 0:
         raise ValidationError(f"{gap} is negative, not a gap")
     if semigroup.contains(gap):
         raise ValidationError(f"{gap} is a member, cannot be avoided")
-    table = bytearray(semigroup.membership)
-    size = len(table)
-    gap_word = _bits(table.translate(_FLIP))
+    table = bytearray(semigroup.membership[: gap + 1])
+    flipped = table.translate(_FLIP)
+    gap_word = _bits(flipped)
     positive_word = _bits(table) & ~1
-    for x in range(size - 1, 0, -1):
-        if table[x] or x == gap or (2 * x < size and not table[2 * x]):
+    for x in reversed(list(compress(range(gap), flipped))):
+        if 2 * x <= gap and not table[2 * x]:
             continue
         if (gap_word >> x) & positive_word == 0:
             table[x] = 1

@@ -14,6 +14,7 @@ serves the decomposition components, which carry no Apery tuple.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import compress
 from operator import add
 
 from .core import GeneratorTuple, PSemigroup, ValidationError, _check_table_size
@@ -196,28 +197,23 @@ def minimal_generators_scan(semigroup: PSemigroup) -> list[int]:
     A member is minimal iff it is not the sum of two positive members.  All
     minimal generators lie in [m, frobenius + m] for the least positive
     member m, and subtracting m from any of them must leave a non-member,
-    which caps the candidate count at m.  It is also the production path for
-    the decomposition components (``FiniteSemigroup``, least element 0),
-    where the Apery tuple is not at hand.
+    which caps the candidate count at m.  It indexes the membership bytes,
+    padded with members, so it stays independent of the Apery tuple; it is
+    also the production path for the decomposition components
+    (``FiniteSemigroup``, least element 0), where that tuple is not at hand.
     """
-    mu = semigroup.least_element
-    if mu == 0:
-        mu = 1
-        while not semigroup.contains(mu):
-            mu += 1
+    mu = (semigroup.membership + b"\x01\x01").find(1, 1)
     top = max(semigroup.frobenius + mu, mu)
-    members = [n for n in range(mu, top + 1) if semigroup.contains(n)]
+    window = semigroup.membership[: top + 1].ljust(top + 1, b"\x01")
+    members = list(compress(range(mu, top + 1), window[mu:]))
     out = []
     for m in members:
-        if m > mu and semigroup.contains(m - mu):
+        if m > mu and window[m - mu]:
             continue
-        decomposable = False
         for s in members:
             if 2 * s > m:
+                out.append(m)
                 break
-            if semigroup.contains(m - s):
-                decomposable = True
+            if window[m - s]:
                 break
-        if not decomposable:
-            out.append(m)
     return out

@@ -178,11 +178,15 @@ def valuation_lengths(semigroup: PSemigroup) -> tuple[int, int, int]:
 
 
 def valuation_lengths_scan(semigroup: PSemigroup) -> tuple[int, int, int]:
-    """Oracle for ``valuation_lengths``: counts the members one by one."""
+    """Oracle for ``valuation_lengths``: counts the member bytes in [1, total].
+
+    It reads only the membership bytes, padded with members past the table,
+    so it stays independent of the Apery tuple.
+    """
     if semigroup.p < 1:
         raise ValidationError("valuation lengths are defined for p >= 1")
     total = semigroup.frobenius + semigroup.least_element
-    d3 = sum(1 for n in range(1, total + 1) if semigroup.contains(n))
+    d3 = semigroup.membership[1 : total + 1].ljust(total, b"\x01").count(1)
     return (d3 + 1, total + 1, d3)
 
 

@@ -617,6 +617,8 @@ def _flip_first_byte(membership: bytes) -> bytes:
         ("report", "two_var_membership", lambda member: not member, "membership -n 43", "p=1"),
         ("report", "pf_via_gap_maximals", lambda pf: pf[:-1], "invariants", "p=1"),
         ("report", "pseudo_frobenius", lambda pf: pf[:-1], "invariants", "p=1"),
+        ("cli", "verify_decomposition", lambda ok: not ok, "decompose", "p=1"),
+        ("cli", "minimal_generators_scan", lambda gens: gens[:-1], "decompose", "p=1"),
     ],
 )
 def test_verify_cross_checks_exit_1_naming_gens_and_p(

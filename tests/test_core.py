@@ -2,7 +2,7 @@ from functools import reduce
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psemigroups import (
@@ -91,6 +91,9 @@ def test_validate_properties(raw):
 
 @settings(max_examples=200, deadline=None)
 @given(valid_gen_lists)
+# every generator below 2 * a1 (the shortcut), and one just past it
+@example([5, 6, 7, 8, 9])
+@example([5, 6, 7, 8, 10])
 def test_minimal_flag_matches_representable_oracle(raw):
     elements = tuple(sorted(set(raw)))
     redundant = any(

@@ -176,6 +176,10 @@ def test_avoiding_completion(build):
     assert is_subsemigroup(T, C)
     with pytest.raises(ValidationError):
         irreducible_oversemigroup_avoiding(T, 41)
+    # targets below the multiplicity: the only completions are <2, 3> and <3, 4, 5>
+    U = FiniteSemigroup.from_generators([3, 5])
+    assert irreducible_oversemigroup_avoiding(U, 1) == FiniteSemigroup.from_generators([2, 3])
+    assert irreducible_oversemigroup_avoiding(U, 2) == FiniteSemigroup.from_generators([3, 4, 5])
     with pytest.raises(ValidationError):
         irreducible_oversemigroup_avoiding(T, -1)
 
@@ -222,6 +226,10 @@ def test_shared_functions_on_decomposition_semigroups(case):
 # 4 is pseudo-Frobenius in (4, 6, 9) p=1 but 8 is a gap, so 4 is not special
 @example(((4, 6, 9), 1))
 @example(((5, 9, 16), 2))
+# the target 1 is the smallest gap: the cut table covers 0 and 1, no gap lies below it
+@example(((3, 5), 0))
+# the multiplicity 15 exceeds every target from 1 to 14
+@example(((3, 5), 1))
 def test_completion_and_pruning_match_the_definitional_oracles(case):
     gens, p = case
     T = FiniteSemigroup.from_psemigroup(build_psemigroup(validate_generators(gens), p))

@@ -23,7 +23,7 @@ from psemigroups import (
     valuation_lengths,
     valuation_lengths_scan,
 )
-from psemigroups.decompose import FiniteSemigroup
+from psemigroups.decompose import FiniteSemigroup, irreducible_decomposition
 from psemigroups.enumeration import _count_table
 
 T31017 = (3, 10, 17)
@@ -294,3 +294,58 @@ def test_apery_derived_invariants_match_scans(raw, p):
     assert minimal_generators(S) == minimal_generators_scan(S)
     if p >= 1:
         assert valuation_lengths(S) == valuation_lengths_scan(S)
+
+
+def _minimal_generators_oracle(semigroup):
+    """The definitional scan with one ``contains`` call per probe."""
+    mu = semigroup.least_element
+    if mu == 0:
+        mu = 1
+        while not semigroup.contains(mu):
+            mu += 1
+    top = max(semigroup.frobenius + mu, mu)
+    members = [n for n in range(mu, top + 1) if semigroup.contains(n)]
+    out = []
+    for m in members:
+        if m > mu and semigroup.contains(m - mu):
+            continue
+        decomposable = False
+        for s in members:
+            if 2 * s > m:
+                break
+            if semigroup.contains(m - s):
+                decomposable = True
+                break
+        if not decomposable:
+            out.append(m)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(gen_lists, st.integers(min_value=0, max_value=3))
+def test_generator_scan_matches_the_per_integer_oracle(raw, p):
+    S = build_psemigroup(validate_generators(raw), p)
+    T = FiniteSemigroup.from_psemigroup(S)
+    for U in [S, T, *irreducible_decomposition(T)]:
+        assert minimal_generators_scan(U) == _minimal_generators_oracle(U)
+
+
+# (3, 5) p=1: least element 15 > a1, and the members below F + 15 run past
+# the table, so the scan reads its member padding
+MINGENS_35_P1 = [15, 18, 20, 21, 23, 24, 25, 26, 27, 28, 29, 31, 32, 34, 37]
+
+
+@pytest.mark.parametrize(
+    "semigroup, expected",
+    [
+        (FiniteSemigroup(b""), [1]),  # the full monoid
+        (FiniteSemigroup(b"\x01\x00\x00\x00\x00"), [5, 6, 7, 8, 9]),  # {0} and [5, oo)
+        (FiniteSemigroup.from_generators([2, 3]), [2, 3]),
+        (build_psemigroup(validate_generators([3, 5]), 1), MINGENS_35_P1),
+        (FiniteSemigroup.from_generators(MINGENS_35_P1), MINGENS_35_P1),
+    ],
+    ids=["full-monoid", "ordinary-5", "2-3", "3-5-p1", "3-5-p1-finite"],
+)
+def test_generator_scan_edge_cases(semigroup, expected):
+    assert minimal_generators_scan(semigroup) == expected
+    assert _minimal_generators_oracle(semigroup) == expected
