@@ -63,10 +63,8 @@ from .hilbert import (
     PowerSeries,
     arith_hilbert_closed,
     gaps_series,
-    geometric,
     hilbert_direct,
     hilbert_from_apery,
-    monomial,
 )
 from .decompose import (
     FiniteSemigroup,
@@ -112,7 +110,6 @@ __all__ = [
     "gaps_series",
     "gcd_reduce",
     "genus_from_apery",
-    "geometric",
     "hilbert_direct",
     "hilbert_from_apery",
     "intersect",
@@ -128,7 +125,6 @@ __all__ = [
     "membership_oracle",
     "minimal_generators",
     "minimal_generators_scan",
-    "monomial",
     "pf_via_apery_maximals",
     "pf_via_gap_maximals",
     "power_sum",

@@ -76,10 +76,13 @@ def _apery_tuple(elements: tuple[int, ...], p: int) -> tuple[int, ...]:
     n has d(n) > p iff at least p+1 multisets of a2..ak have sum <= n in the
     class of n (each one is completed by copies of a1), so the Apery element
     of class j is the (p+1)-th smallest such sum.  A Dijkstra search over the
-    states (residue, index of the last generator) enumerates the sums in
-    ascending order; extending only by indices >= the last one visits each
-    multiset once, and a state popped p+1 times is done, because any longer
-    path through it is beaten by p+1 others with the same continuation.
+    states (residue, index i of the last generator) enumerates the non-empty
+    multisets, as ascending index sequences, in ascending sum order.  A pop
+    pushes two moves: append generator i again, or replace the last one by
+    generator i+1.  Each sequence has one parent, so each multiset is reached
+    once; the sums reachable from a state are its own minus g_i plus those of
+    the multisets from index i on, so a state popped p+1 times is done: any
+    longer path through it is beaten by p+1 others with the same continuation.
     """
     a1, rest = elements[0], elements[1:]
     m = len(rest)
@@ -87,9 +90,11 @@ def _apery_tuple(elements: tuple[int, ...], p: int) -> tuple[int, ...]:
     need = p + 1
     visits = [0] * width
     seen = [0] * a1
+    seen[0] = 1  # the empty multiset
     ap = [0] * a1
-    left = a1
-    heap = [0]  # key sum * width + residue * m + last index; the empty multiset
+    left = a1 - 1 if need == 1 else a1
+    g = rest[0]
+    heap = [g * width + (g % a1) * m]  # key sum * width + residue * m + last index
     while left:
         s, state = divmod(heappop(heap), width)
         if visits[state] == need:
@@ -100,11 +105,15 @@ def _apery_tuple(elements: tuple[int, ...], p: int) -> tuple[int, ...]:
         if seen[r] == need:
             ap[r] = s
             left -= 1
-        for j in range(i, m):
-            g = rest[j]
-            nxt = ((r + g) % a1) * m + j
+        g = rest[i]
+        nxt = ((r + g) % a1) * m + i
+        if visits[nxt] < need:
+            heappush(heap, (s + g) * width + nxt)
+        if i + 1 < m:
+            h = rest[i + 1] - g
+            nxt = ((r + h) % a1) * m + i + 1
             if visits[nxt] < need:
-                heappush(heap, (s + g) * width + nxt)
+                heappush(heap, (s + h) * width + nxt)
     return tuple(ap)
 
 

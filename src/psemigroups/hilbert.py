@@ -1,11 +1,10 @@
-"""Truncated integer power series and the Hilbert-series evaluators.
+"""Truncated membership series and the Hilbert-series evaluators.
 
-Membership generating functions are computed three ways: directly from the
-table, from the Apery set with a geometric tail, and (for arithmetic
-triples) from closed rational forms expanded with exact polynomial
-arithmetic.  Division only ever appears as multiplication by a truncated
-geometric series or as an exact finite geometric block, so no negative
-powers arise.
+Membership generating functions are read two ways: straight from the table,
+and from an Apery tuple, each of whose elements w contributes
+x**w / (1 - x**a) for the tuple's modulus a.  For arithmetic triples the
+closed rational form is that same factorization, with the Apery tuple
+written as a few arithmetic progressions whose values are closed formulas.
 """
 
 from __future__ import annotations
@@ -19,77 +18,13 @@ from .symmetry import _FLIP
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Integer coefficients c_0..c_N; arithmetic truncates at the shorter N."""
+    """Integer coefficients c_0..c_N of a series truncated at degree N."""
 
     coefficients: tuple[int, ...]
 
     @property
     def truncation(self) -> int:
         return len(self.coefficients) - 1
-
-    def coefficient(self, n: int) -> int:
-        if not 0 <= n <= self.truncation:
-            raise ValidationError(f"coefficient index {n} out of range")
-        return self.coefficients[n]
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(len(self.coefficients), len(other.coefficients))
-        return PowerSeries(
-            tuple(self.coefficients[i] + other.coefficients[i] for i in range(n))
-        )
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(len(self.coefficients), len(other.coefficients))
-        return PowerSeries(
-            tuple(self.coefficients[i] - other.coefficients[i] for i in range(n))
-        )
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(len(self.coefficients), len(other.coefficients))
-        out = [0] * n
-        for i, ci in enumerate(self.coefficients[:n]):
-            if ci:
-                for j, cj in enumerate(other.coefficients[: n - i]):
-                    if cj:
-                        out[i + j] += ci * cj
-        return PowerSeries(tuple(out))
-
-    def coefficient_sum(self) -> int:
-        return sum(self.coefficients)
-
-    def weighted_sum(self) -> int:
-        """Sum of n * c_n, the formal derivative evaluated at 1."""
-        return sum(n * c for n, c in enumerate(self.coefficients))
-
-
-def monomial(exponent: int, truncation: int) -> PowerSeries:
-    if exponent < 0:
-        raise InternalConsistencyError(f"negative exponent {exponent} in series")
-    coeffs = [0] * (truncation + 1)
-    if exponent <= truncation:
-        coeffs[exponent] = 1
-    return PowerSeries(tuple(coeffs))
-
-
-def geometric(step: int, truncation: int) -> PowerSeries:
-    """1/(1 - x**step) truncated: ones at multiples of step."""
-    if step < 1:
-        raise ValidationError("geometric step must be positive")
-    coeffs = [0] * (truncation + 1)
-    for e in range(0, truncation + 1, step):
-        coeffs[e] = 1
-    return PowerSeries(tuple(coeffs))
-
-
-def finite_geometric(step: int, terms: int, truncation: int) -> PowerSeries:
-    """(1 - x**(terms*step)) / (1 - x**step) as an exact polynomial."""
-    coeffs = [0] * (truncation + 1)
-    for i in range(terms):
-        e = i * step
-        if e > truncation:
-            break
-        coeffs[e] = 1
-    return PowerSeries(tuple(coeffs))
 
 
 def _check_truncation(n: int) -> None:
@@ -129,40 +64,43 @@ def hilbert_from_apery(ap: tuple[int, ...], truncation: int) -> PowerSeries:
     return PowerSeries(tuple(coeffs))
 
 
+def _arith_apery(a: int, d: int, p: int) -> tuple[int, ...]:
+    """Closed-form Apery tuple mod a of (a, a+d, a+2d), for 0 <= p <= a // 2.
+
+    The elements are (start, step, terms) progressions: three families for
+    odd a; for even a, two families and their shifts by a + d.  Sorted by
+    residue they must be one non-negative element per class mod a; a
+    negative element, two in one class or an empty class is an internal error.
+    """
+    top = 2 * p * (a + d)
+    if a % 2 == 1:
+        families = [
+            ((a - 1) * (a + 2 * d) // 2 + p * a + d, d, 2 * p),
+            (top, a + 2 * d, (a - 1) // 2 - p + 1),
+            (top + a + d, a + 2 * d, (a - 1) // 2 - p),
+        ]
+    else:
+        low = a * (a + 2 * d) // 2 + (p - 1) * a
+        families = [
+            (start + shift, step, terms)
+            for start, step, terms in ((low, 2 * d, p), (top, a + 2 * d, a // 2 - p))
+            for shift in (0, a + d)
+        ]
+    elements = [start + i * step for start, step, terms in families for i in range(terms)]
+    ap = sorted(elements, key=lambda w: w % a)
+    if [w % a for w in ap] != list(range(a)) or min(ap) < 0:
+        raise InternalConsistencyError(
+            f"closed Apery families of (a={a}, d={d}, p={p}) are not one "
+            f"non-negative element per class mod {a}: {ap}"
+        )
+    return tuple(ap)
+
+
 def arith_hilbert_closed(a: int, d: int, p: int, truncation: int) -> PowerSeries:
     """Closed rational form of the membership series for (a, a+d, a+2d).
 
-    Evaluates the Apery-family generating polynomials (exact finite
-    geometric blocks) and one geometric tail; the result must be a 0/1
-    series or an internal error is raised.
+    The numerator is the closed-form Apery tuple of ``_arith_apery`` and the
+    denominator 1 - x**a, so the series is its Apery factorization.
     """
     _check_arith(a, d, p)
-    _check_truncation(truncation)
-    n = truncation
-    if a % 2 == 1:
-        half = (a - 1) // 2
-        numer = (
-            monomial((a - 1) * (a + 2 * d) // 2 + p * a + d, n)
-            * finite_geometric(d, 2 * p, n)
-            + monomial(2 * p * (a + d), n)
-            * finite_geometric(a + 2 * d, half - p + 1, n)
-            + monomial((2 * p + 1) * (a + d), n)
-            * finite_geometric(a + 2 * d, half - p, n)
-        )
-    else:
-        half = a // 2
-        inner = (
-            monomial(a * (a + 2 * d) // 2 + (p - 1) * a, n)
-            * finite_geometric(2 * d, p, n)
-            + monomial(2 * p * (a + d), n)
-            * finite_geometric(a + 2 * d, half - p, n)
-        )
-        numer = (monomial(0, n) + monomial(a + d, n)) * inner
-    series = numer * geometric(a, n)
-    for i, c in enumerate(series.coefficients):
-        if c not in (0, 1):
-            raise InternalConsistencyError(
-                f"closed Hilbert form produced coefficient {c} at degree {i} "
-                f"for (a={a}, d={d}, p={p})"
-            )
-    return series
+    return hilbert_from_apery(_arith_apery(a, d, p), truncation)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from itertools import compress
 from math import gcd
+from operator import add
 
 from .core import GeneratorTuple, InternalConsistencyError, PSemigroup
 from .enumeration import (
@@ -64,7 +65,7 @@ def check_series(semigroup: PSemigroup, direct: PowerSeries, psi: PowerSeries) -
         _mismatch("membership", "Apery tuple", "count table", gens, p)
     if hilbert_from_apery(apery_set(semigroup), direct.truncation) != direct:
         _mismatch("Hilbert factorization", "apery series", "direct series", gens, p)
-    if any(a + b != 1 for a, b in zip(direct.coefficients, psi.coefficients)):
+    if list(map(add, direct.coefficients, psi.coefficients)) != [1] * len(direct.coefficients):
         _mismatch("series partition", "H + Psi", "all-ones", gens, p)
 
 

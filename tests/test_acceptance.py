@@ -7,6 +7,7 @@ the pass/fail report.
 
 import random
 from math import gcd
+from operator import add
 
 from psemigroups import (
     FiniteSemigroup,
@@ -43,7 +44,6 @@ from psemigroups import (
     validate_generators,
     verify_decomposition,
 )
-from psemigroups.hilbert import PowerSeries
 
 REGRESSION_TUPLES = [
     ((3, 10, 17), (0, 1, 2, 3, 4, 19)),
@@ -253,8 +253,7 @@ def test_criterion_5_hilbert(build):
             direct = hilbert_direct(S, n)
             assert hilbert_from_apery(apery_set(S), n) == direct
             psi = gaps_series(S, n)
-            one_minus_x = PowerSeries((1, -1) + (0,) * (n - 1))
-            assert (one_minus_x * (direct + psi)).coefficients == (1,) + (0,) * n
+            assert list(map(add, direct.coefficients, psi.coefficients)) == [1] * (n + 1)
     for a in range(3, 10):
         for d in range(1, 6):
             if gcd(a, d) != 1:

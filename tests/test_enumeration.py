@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 from math import gcd
 from time import perf_counter
@@ -222,6 +223,23 @@ def test_scale_case_table_limit(monkeypatch):
         build_psemigroup(gens, p)
     monkeypatch.setenv("PSG_MAX_TABLE", str(frontier))
     assert build_psemigroup(gens, p).frontier == frontier
+
+
+def test_apery_search_memory_stays_near_its_states():
+    """Two heap pushes per pop, not one per later generator index.
+
+    163 generators at p = 1 give 162 * 162 * 2 states; one push per index
+    j >= i would hold ~a1 * k**2 / 8 heap entries, over 20 MB here.
+    """
+    gens = validate_generators(list(range(162, 325)))
+    tracemalloc.start()
+    try:
+        S = build_psemigroup(gens, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 10**6
+    assert S.membership == membership_oracle(gens, 1, S.frontier)
 
 
 gen_lists = (

@@ -1,21 +1,21 @@
 from math import gcd
+from operator import add
 
 import pytest
 
 from psemigroups import (
     OutOfValidityRangeError,
-    PowerSeries,
-    ValidationError,
     apery_set,
     arith_hilbert_closed,
+    arith_invariants,
     gaps,
     gaps_series,
-    geometric,
+    genus_from_apery,
     hilbert_direct,
     hilbert_from_apery,
-    monomial,
     power_sum,
 )
+from psemigroups.hilbert import _arith_apery
 
 REGRESSION = [
     ((3, 10, 17), (0, 1, 4)),
@@ -26,18 +26,13 @@ REGRESSION = [
     ((2, 3), (0, 2)),
 ]
 
-
-def test_series_arithmetic():
-    x = PowerSeries((1, 2, 0, 1))
-    y = PowerSeries((1, 0, 3, 0))
-    assert (x + y).coefficients == (2, 2, 3, 1)
-    assert (x - y).coefficients == (0, 2, -3, 1)
-    assert (x * y).coefficients == (1, 2, 3, 7)
-    assert geometric(2, 6).coefficients == (1, 0, 1, 0, 1, 0, 1)
-    assert monomial(3, 5).coefficients == (0, 0, 0, 1, 0, 0)
-    assert monomial(9, 5).coefficients == (0,) * 6
-    with pytest.raises(ValidationError):
-        PowerSeries((1,)).coefficient(5)
+ARITH_GRID = [
+    (a, d, p)
+    for a in range(3, 16)
+    for d in range(1, 12)
+    if gcd(a, d) == 1
+    for p in range(a // 2 + 1)
+]
 
 
 def test_hilbert_direct_examples(build):
@@ -70,13 +65,7 @@ def test_partition_identity(build):
             n = 2 * (S.frobenius + 2)
             member = hilbert_direct(S, n)
             gap = gaps_series(S, n)
-            assert all(
-                a + b == 1
-                for a, b in zip(member.coefficients, gap.coefficients)
-            )
-            one_minus_x = PowerSeries((1, -1) + (0,) * (n - 1))
-            product = one_minus_x * (member + gap)
-            assert product.coefficients == (1,) + (0,) * n
+            assert list(map(add, member.coefficients, gap.coefficients)) == [1] * (n + 1)
 
 
 def test_apery_factorization_full_regression(build):
@@ -93,9 +82,10 @@ def test_series_sums_match_invariants(build):
             S = build(tup, p)
             n = S.frobenius + 1
             gap = gaps_series(S, n)
-            assert gap.coefficient_sum() == S.gap_count
-            assert gap.weighted_sum() == sum(gaps(S))
-            assert gap.weighted_sum() == power_sum(S, 1)
+            weighted = sum(e * c for e, c in enumerate(gap.coefficients))
+            assert sum(gap.coefficients) == S.gap_count
+            assert weighted == sum(gaps(S))
+            assert weighted == power_sum(S, 1)
 
 
 def test_arith_hilbert_examples(build):
@@ -118,3 +108,16 @@ def test_arith_hilbert_grid_small(build):
 def test_arith_hilbert_validation():
     with pytest.raises(OutOfValidityRangeError):
         arith_hilbert_closed(5, 2, 3, 100)
+
+
+def test_arith_apery_families_are_the_enumerated_apery_set(build):
+    assert len(ARITH_GRID) == 470
+    for a, d, p in ARITH_GRID:
+        assert _arith_apery(a, d, p) == apery_set(build((a, a + d, a + 2 * d), p))
+
+
+def test_arith_apery_families_match_the_closed_invariants():
+    """Two closed forms check each other: (F, genus, least) from the families."""
+    for a, d, p in ARITH_GRID:
+        ap = _arith_apery(a, d, p)
+        assert (max(ap) - a, genus_from_apery(ap), min(ap)) == arith_invariants(a, d, p)
