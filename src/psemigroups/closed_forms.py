@@ -2,10 +2,11 @@
 
 Two-generator invariants, standard-form membership, the gcd reduction with
 its lifted Frobenius/genus/Sylvester formulas, and the arithmetic-triple
-formulas.  The arithmetic-triple least element takes the minimum of two
-candidate Apery heads; whenever that deviates from the simple 2p(a+d)
-candidate the value is re-verified against enumeration, since the simple
-candidate's stated applicability window is unreliable.
+closed forms.  An arithmetic triple (a, a+d, a+2d) has one derivation: its
+Apery tuple mod a written as closed progressions (``_arith_apery``), from
+which the least element is read and the Hilbert series is factored; the
+Frobenius number and genus keep the paper's formulas.  Nothing here runs
+enumeration.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .core import (
     _exact_int,
     validate_generators,
 )
-from .enumeration import build_psemigroup
 
 
 def _check_two_var(a: int, b: int) -> None:
@@ -138,44 +138,49 @@ def _check_arith(a: int, d: int, p: int) -> None:
         )
 
 
-def arith_least_element_candidates(a: int, d: int, p: int) -> tuple[int, ...]:
-    """Candidate least elements from the two Apery-set families."""
-    if p == 0:
-        return (0,)
+def _arith_apery(a: int, d: int, p: int) -> tuple[int, ...]:
+    """Closed-form Apery tuple mod a of (a, a+d, a+2d), for 0 <= p <= a // 2.
+
+    The elements are (start, step, terms) progressions: three families for
+    odd a; for even a, two families and their shifts by a + d.  Sorted by
+    residue they must be one non-negative element per class mod a; a
+    negative element, two in one class or an empty class is an internal error.
+    """
+    _check_arith(a, d, p)
+    top = 2 * p * (a + d)
     if a % 2 == 1:
-        return (2 * p * (a + d),)
-    return (2 * p * (a + d), (a // 2 + p - 1) * (a + 2 * d) - 2 * (p - 1) * d)
+        families = [
+            ((a - 1) * (a + 2 * d) // 2 + p * a + d, d, 2 * p),
+            (top, a + 2 * d, (a - 1) // 2 - p + 1),
+            (top + a + d, a + 2 * d, (a - 1) // 2 - p),
+        ]
+    else:
+        low = a * (a + 2 * d) // 2 + (p - 1) * a
+        families = [
+            (start + shift, step, terms)
+            for start, step, terms in ((low, 2 * d, p), (top, a + 2 * d, a // 2 - p))
+            for shift in (0, a + d)
+        ]
+    elements = [start + i * step for start, step, terms in families for i in range(terms)]
+    ap = sorted(elements, key=lambda w: w % a)
+    if [w % a for w in ap] != list(range(a)) or min(ap) < 0:
+        raise InternalConsistencyError(
+            f"closed Apery families of (a={a}, d={d}, p={p}) are not one "
+            f"non-negative element per class mod {a}: {ap}"
+        )
+    return tuple(ap)
 
 
 def arith_invariants(a: int, d: int, p: int) -> tuple[int, int, int]:
     """(frobenius, genus, least element) for the triple (a, a+d, a+2d).
 
-    Valid for 0 <= p <= floor(a/2).  When the least element comes from the
-    second candidate family the closed value is cross-checked against
-    enumeration before being returned.
+    Valid for 0 <= p <= floor(a/2).  The genus numerator gains 1 for even a;
+    the least element is the least of the closed Apery families.
     """
-    _check_arith(a, d, p)
+    least = min(_arith_apery(a, d, p))
     frob = (a + 2 * d) * p + ((a - 2) // 2) * a + (a - 1) * d
-    if a % 2 == 1:
-        genus = _exact_int(
-            (2 * a + 2 * d - 1 - p) * p + Fraction((a - 1) * (a + 2 * d - 1), 4),
-            "arithmetic-triple genus",
-        )
-    else:
-        genus = _exact_int(
-            (2 * a + 2 * d - 1 - p) * p
-            + Fraction((a - 1) * (a + 2 * d - 1) + 1, 4),
-            "arithmetic-triple genus",
-        )
-    candidates = arith_least_element_candidates(a, d, p)
-    least = min(candidates)
-    if len(candidates) > 1 and least != candidates[0]:
-        semigroup = build_psemigroup(
-            validate_generators([a, a + d, a + 2 * d]), p
-        )
-        if semigroup.least_element != least:
-            raise InternalConsistencyError(
-                f"arithmetic-triple least element {least} contradicts "
-                f"enumeration {semigroup.least_element} for (a={a}, d={d}, p={p})"
-            )
+    genus = _exact_int(
+        (2 * a + 2 * d - 1 - p) * p + Fraction((a - 1) * (a + 2 * d - 1) + 1 - a % 2, 4),
+        "arithmetic-triple genus",
+    )
     return frob, genus, least

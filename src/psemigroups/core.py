@@ -112,21 +112,6 @@ class GeneratorTuple:
         return self.elements[0]
 
 
-def _representable(target: int, gens: Sequence[int]) -> bool:
-    """Is ``target`` a non-negative combination of ``gens``?
-
-    Oracle for the minimality check in ``validate_generators``; it fills a
-    table of ``target + 1`` entries, so only tests call it.
-    """
-    reachable = bytearray(target + 1)
-    reachable[0] = 1
-    for a in gens:
-        for n in range(a, target + 1):
-            if reachable[n - a]:
-                reachable[n] = 1
-    return bool(reachable[target])
-
-
 def validate_generators(raw: Sequence[int]) -> GeneratorTuple:
     """Sort, deduplicate and validate a raw generator list.
 

@@ -163,7 +163,7 @@ def membership_oracle(gens: GeneratorTuple, p: int, limit: int) -> bytes:
     if limit == 0:
         return b""
     counts = _count_table(gens.elements, limit - 1, cap=p + 1)
-    return bytes(1 if c > p else 0 for c in counts)
+    return bytes(map(p.__lt__, counts))
 
 
 def gaps(semigroup: PSemigroup) -> list[int]:

@@ -5,19 +5,20 @@ and gap sum against the ones read off the membership bytes (cheap, and
 provably equal); ``verify=True`` adds the heavier re-derivations:
 membership from the count table, the scanned minimal generators and
 valuation lengths, brute-force power sums over the gap list, three-way
-pseudo-Frobenius agreement, the Hilbert factorization identity, and the
-matching closed forms when the generator tuple has one.  ``check_series``
+pseudo-Frobenius agreement, the Hilbert factorization identity, the
+gcd-reduction lift of a separately built reduced tuple, and the matching
+closed forms when the generator tuple has one.  ``check_series``
 and ``check_denumerant`` are the checks the ``hilbert``, ``membership``
 and ``denumerant`` commands share with it.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-from math import gcd
+from itertools import compress, repeat
+from math import prod
 from operator import add
 
-from .core import GeneratorTuple, InternalConsistencyError, PSemigroup
+from .core import GeneratorTuple, InternalConsistencyError, PSemigroup, _check_table_size
 from .enumeration import (
     build_psemigroup,
     denumerant_oracle,
@@ -43,7 +44,13 @@ from .symmetry import (
     valuation_lengths_scan,
 )
 from .hilbert import PowerSeries, gaps_series, hilbert_direct, hilbert_from_apery
-from .closed_forms import arith_invariants, two_var_invariants, two_var_membership
+from .closed_forms import (
+    arith_invariants,
+    gcd_reduce,
+    lift_invariants,
+    two_var_invariants,
+    two_var_membership,
+)
 
 
 def _mismatch(what: str, formula, enumerated, gens: GeneratorTuple, p: int | None) -> None:
@@ -72,10 +79,14 @@ def check_series(semigroup: PSemigroup, direct: PowerSeries, psi: PowerSeries) -
 def check_denumerant(gens: GeneratorTuple, n: int, count: int, p: int | None = None) -> None:
     """The ``--verify`` checks behind ``count``, the table's value of d(n).
 
-    For n >= 0 the recursive oracle must agree; given a threshold ``p`` on
-    two generators, so must the standard-form membership test.
+    For n >= 0 the recursive oracle must agree; its loop runs at most
+    prod(n // a + 1) times over all generators a but the least, which the
+    size cap bounds.  Given a threshold ``p`` on two generators, the
+    standard-form membership test must agree too.
     """
     if n >= 0:
+        loops = prod(n // a + 1 for a in gens.elements[1:])
+        _check_table_size(loops, "the recursive denumerant oracle")
         oracle = denumerant_oracle(gens, n)
         if oracle != count:
             _mismatch(f"denumerant d({n})", count, oracle, gens, p)
@@ -97,7 +108,7 @@ def _verify_extras(semigroup: PSemigroup, report: dict) -> None:
             _mismatch("valuation lengths", valuation, scanned, gens, p)
     gap_list = gaps(semigroup)
     for mu, value in report["power_sums"].items():
-        brute = sum(n**mu for n in gap_list)
+        brute = sum(map(pow, gap_list, repeat(mu)))
         if value != brute:
             _mismatch(f"power sum mu={mu}", value, brute, gens, p)
     pf = report["pf"]
@@ -114,28 +125,29 @@ def _verify_extras(semigroup: PSemigroup, report: dict) -> None:
         )
     trunc = 2 * (semigroup.frobenius + 1) + gens.least
     check_series(semigroup, hilbert_direct(semigroup, trunc), gaps_series(semigroup, trunc))
+    got = (report["frobenius"], report["genus"], report["sylvester_sum"])
+    reduction = gcd_reduce(gens)
+    if reduction.d > 1:
+        r = build_psemigroup(reduction.reduced, p)
+        lifted = lift_invariants(
+            reduction, r.frobenius, r.gap_count, sylvester_sum_from_apery(r.apery)
+        )
+        if lifted != got:
+            _mismatch("gcd-reduction lift", lifted, got, gens, p)
+    # A validated tuple has gcd 1 and ascends strictly, so the closed forms
+    # need no coprimality or positive-step test.
     elements = gens.elements
-    if len(elements) == 2:
-        a, b = elements
-        if a >= 2 and gcd(a, b) == 1:
-            closed = two_var_invariants(a, b, p)
-            got = (report["frobenius"], report["genus"], report["sylvester_sum"])
-            if closed != got:
-                _mismatch("two-generator closed forms", closed, got, gens, p)
+    if len(elements) == 2 and elements[0] >= 2:
+        closed = two_var_invariants(*elements, p)
+        if closed != got:
+            _mismatch("two-generator closed forms", closed, got, gens, p)
     if len(elements) == 3:
-        a = elements[0]
-        d = elements[1] - a
-        if (
-            d >= 1
-            and elements[2] - elements[1] == d
-            and a >= 3
-            and gcd(a, d) == 1
-            and p <= a // 2
-        ):
-            frob, genus, least = arith_invariants(a, d, p)
+        a, b, c = elements
+        if c - b == b - a and a >= 3 and p <= a // 2:
+            closed = arith_invariants(a, b - a, p)
             got = (report["frobenius"], report["genus"], report["ell0"])
-            if (frob, genus, least) != got:
-                _mismatch("arithmetic-triple closed forms", (frob, genus, least), got, gens, p)
+            if closed != got:
+                _mismatch("arithmetic-triple closed forms", closed, got, gens, p)
 
 
 def build_invariant_report(

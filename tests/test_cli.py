@@ -272,15 +272,24 @@ def test_batch_line_numbers_count_blank_lines(capsys, tmp_path):
 
 def test_table_cap_bounds_user_sized_tables(capsys, monkeypatch):
     monkeypatch.setenv("PSG_MAX_TABLE", "1000")
+    # the recursive denumerant oracle loops (900 // 28 + 1) * (900 // 17 + 1)
+    # = 1749 times, past the cap, though the 901-entry table is within it
+    oracle_jobs = [
+        ["denumerant", "--gens", "6,17,28", "-n", "900"],
+        ["membership", "--gens", "6,17,28", "-n", "900", "-p", "5"],
+    ]
     for argv in [
         ["denumerant", "--gens", "2,3", "-n", "5000000"],
         ["membership", "--gens", "2,3", "-n", "5000000", "-p", "1"],
         ["hilbert", "--gens", "3,5", "--trunc", "3000000"],
+        *([*job, "--verify"] for job in oracle_jobs),
     ]:
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
         assert "PSG_MAX_TABLE" in err
+    for job in oracle_jobs:
+        assert run(capsys, job)[0] == 0
     code, out, _ = run(capsys, ["hilbert", "--gens", "3,5", "--trunc", "999", "--json"])
     assert code == 0
     assert json.loads(out)["truncation"] == 999
@@ -617,6 +626,7 @@ def _flip_first_byte(membership: bytes) -> bytes:
         ("report", "two_var_membership", lambda member: not member, "membership -n 43", "p=1"),
         ("report", "pf_via_gap_maximals", lambda pf: pf[:-1], "invariants", "p=1"),
         ("report", "pseudo_frobenius", lambda pf: pf[:-1], "invariants", "p=1"),
+        ("report", "lift_invariants", lambda t: (t[0] + 1, *t[1:]), "invariants", "p=1"),
         ("cli", "verify_decomposition", lambda ok: not ok, "decompose", "p=1"),
         ("cli", "minimal_generators_scan", lambda gens: gens[:-1], "decompose", "p=1"),
     ],

@@ -13,7 +13,6 @@ from psemigroups import (
     ValidationError,
     validate_generators,
 )
-from psemigroups.core import _representable
 
 
 def test_validate_paper_triple():
@@ -48,6 +47,21 @@ def test_single_element_rejected():
         validate_generators([1])
     with pytest.raises(ValidationError):
         validate_generators([7, 7])
+
+
+def _representable(target: int, gens) -> bool:
+    """Is ``target`` a non-negative combination of ``gens``?
+
+    Oracle for the minimality check in ``validate_generators``: it fills a
+    table of ``target + 1`` entries, one step per entry and generator.
+    """
+    reachable = bytearray(target + 1)
+    reachable[0] = 1
+    for a in gens:
+        for n in range(a, target + 1):
+            if reachable[n - a]:
+                reachable[n] = 1
+    return bool(reachable[target])
 
 
 def test_non_minimal_recorded_not_rejected():

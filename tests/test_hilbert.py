@@ -15,7 +15,7 @@ from psemigroups import (
     hilbert_from_apery,
     power_sum,
 )
-from psemigroups.hilbert import _arith_apery
+from psemigroups.closed_forms import _arith_apery
 
 REGRESSION = [
     ((3, 10, 17), (0, 1, 4)),
