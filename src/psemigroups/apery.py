@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb
+from itertools import repeat
+from math import comb, lcm
 
 from .core import (
     ModulusNotGeneratorError,
@@ -100,19 +101,27 @@ def power_sum(semigroup: PSemigroup, mu: int) -> int:
     """Exact sum of n**mu over all gaps, evaluated from the Apery set.
 
     Uses the Bernoulli-weighted expansion of the power sum; mu = 1 reduces
-    algebraically to the Sylvester sum formula.
+    algebraically to the Sylvester sum formula.  The expansion is summed in
+    integers over the common denominator (mu+1) * a * lcm(den B_0..B_{mu+1}).
     """
     if mu < 1:
         raise ValidationError("power-sum exponent must be >= 1")
     ap = apery_set(semigroup)
     a = len(ap)
-    total = Fraction(0)
+    numbers = [bernoulli(k) for k in range(mu + 2)]
+    lcd = lcm(*[b.denominator for b in numbers])
+    weights = [b.numerator * (lcd // b.denominator) for b in numbers]  # B_k * lcd
+    total = weights[mu + 1] * a * (a ** (mu + 1) - 1)
     for k in range(mu + 1):
-        inner = sum(m ** (mu + 1 - k) for m in ap)
-        total += comb(mu + 1, k) * bernoulli(k) * Fraction(a) ** (k - 1) * inner
-    total /= mu + 1
-    total += bernoulli(mu + 1) / (mu + 1) * (a ** (mu + 1) - 1)
-    value = _exact_int(total, f"power sum (mu={mu})")
+        if weights[k]:
+            inner = sum(map(pow, ap, repeat(mu + 1 - k)))
+            total += comb(mu + 1, k) * weights[k] * a**k * inner
+    denominator = (mu + 1) * a * lcd
+    value, rest = divmod(total, denominator)
+    if rest:
+        raise NonIntegerResultError(
+            f"power sum (mu={mu}) evaluated to non-integer {Fraction(total, denominator)}"
+        )
     if value < 0:
         raise NonIntegerResultError(f"power sum (mu={mu}) evaluated negative: {value}")
     return value

@@ -26,9 +26,10 @@ from .core import (
     validate_generators,
 )
 from .enumeration import (
+    _member_word,
+    _table_of,
     build_psemigroup,
     denumerant_table,
-    membership_oracle,
     minimal_generators_scan,
 )
 from .hilbert import gaps_series, hilbert_direct
@@ -44,7 +45,7 @@ from .report import build_invariant_report, check_denumerant, check_series
 SWEEP_RANGE_LIMIT = 10**4
 # power_sum's Bernoulli recurrence costs about 5x per doubling of mu and is
 # not bounded by PSG_MAX_TABLE.  At mu = 100, (90,150,211,269) with p = 20
-# takes about 0.3 s on a 2-vCPU Xeon VM; mu = 400 on (3,5) took 1.7 s.
+# takes about 0.2 s on a 2-vCPU Xeon VM; mu = 400 on (3,5) took 1.7 s.
 MU_LIMIT = 100
 
 
@@ -125,11 +126,13 @@ def cmd_denumerant(gens: GeneratorTuple, n: int = 0, verify: bool = False) -> di
 def _spans(generators: list[int], component: FiniteSemigroup) -> bool:
     """Are ``generators`` minimal, and do they span exactly ``component``?
 
-    The span comes from the count-table oracle, which shares nothing with
-    the scan that listed the generators; the run of min(generators) members
-    after the Frobenius number certifies every larger integer.  Validation
-    needs two generators, so the full monoid's ``[1]`` is compared with the
-    empty table directly.
+    The span is the membership word at p = 0, one shift-OR per doubling of
+    each generator, which shares nothing with the scan that listed the
+    generators; the run of min(generators) members after the Frobenius
+    number certifies every larger integer.  A member bit past the limit pads
+    the bytes, so a gap just below it stays a gap.  Validation needs two
+    generators, so the full monoid's ``[1]`` is compared with the empty
+    table directly.
     """
     if generators == [1]:
         return component == FiniteSemigroup(b"")
@@ -137,7 +140,8 @@ def _spans(generators: list[int], component: FiniteSemigroup) -> bool:
         checked = validate_generators(generators)
     except ValidationError:
         return False
-    span = membership_oracle(checked, 0, component.frobenius + 1 + checked.least)
+    limit = component.frobenius + 1 + checked.least
+    span = _table_of(_member_word(checked.elements, 0, limit) | 1 << limit)
     return checked.minimal and FiniteSemigroup.from_table(span) == component
 
 

@@ -24,10 +24,8 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 
 from .core import InternalConsistencyError, PSemigroup, ValidationError, validate_generators
-from .enumeration import build_psemigroup
+from .enumeration import _table_of, build_psemigroup
 from .symmetry import _FLIP, _bits, _pairs_exactly_one, pseudo_frobenius
-
-_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -102,10 +100,9 @@ def intersect(components: list[FiniteSemigroup]) -> FiniteSemigroup:
     word = -1
     for component in components:
         word &= _word(component.membership, length)
-    # bit ``length`` is a padding member, so the digits cover the table even
+    # bit ``length`` is a padding member, so the bytes cover the table even
     # when it is empty; ``from_table`` strips it again
-    digits = format(word | 1 << length, "b")[::-1].encode()
-    return FiniteSemigroup.from_table(digits.translate(_FROM_DIGITS))
+    return FiniteSemigroup.from_table(_table_of(word | 1 << length))
 
 
 def is_irreducible_classic(semigroup: FiniteSemigroup) -> bool:

@@ -1,41 +1,46 @@
-"""Apery-first membership construction, denumerant tables and derived data.
+"""Membership construction, denumerant tables and derived data.
 
-A p-semigroup is built from its Apery tuple modulo a1 = min(gens): the
-least member of residue class j is the (p+1)-th smallest multiset sum of
-a2..ak in that class, found by a shortest-path search whose cost does not
-depend on the Frobenius number.  The membership bytes, the Frobenius number,
-the least element and the minimal generators all follow from the tuple.
-The coin-counting table survives as the denumerant evaluator and, run up to
-the frontier, as the membership oracle for tests and ``--verify``; the
-definitional minimal-generator scan is kept as an oracle the same way, and
-serves the decomposition components, which carry no Apery tuple.
+A p-semigroup is built from its membership word: bit n is set iff d(n) > p,
+where d(n) counts the representations of n by the generators.  The word
+comes from bit-sliced saturating counts, B = (p+1).bit_length() bit-planes
+with one ripple-carry add per factor 1 + x**(a * 2**j), so its cost grows
+with the Frobenius number: about B * sum_a log2(limit / a) word operations
+on limit-bit ints, where the limit is a guess at the frontier, doubled until
+the word certifies it.  The membership bytes, the Frobenius number, the
+Apery tuple modulo a1 = min(gens), the least element and the minimal
+generators all follow.  The coin-counting table survives as the denumerant
+evaluator and, run up to the frontier, as the membership oracle for tests
+and ``--verify``; it shares nothing with the planes.  The definitional
+minimal-generator scan is kept as an oracle the same way, and serves the
+decomposition components, which carry no Apery tuple.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from itertools import compress
+from itertools import chain, compress
+from math import factorial, prod
 from operator import add
 
-from .core import GeneratorTuple, PSemigroup, ValidationError, _check_table_size
+from .core import (
+    TABLE_LIMIT_ENV,
+    GeneratorTuple,
+    PSemigroup,
+    TableLimitError,
+    ValidationError,
+    _check_table_size,
+    _table_cap,
+)
+
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _count_table(gens: tuple[int, ...], limit: int, cap: int | None = None) -> list[int]:
-    """Coin-counting recurrence: counts[n] = #tuples x with sum a_i x_i = n.
-
-    With ``cap`` set, counts saturate at ``cap``; min(true, cap) is preserved
-    by the recurrence, which is all the membership comparison d > p needs.
-    """
+def _count_table(gens: tuple[int, ...], limit: int) -> list[int]:
+    """Coin-counting recurrence: counts[n] = #tuples x with sum a_i x_i = n."""
     counts = [0] * (limit + 1)
     counts[0] = 1
     for a in gens:
-        if cap is None:
-            for n in range(a, limit + 1):
-                counts[n] += counts[n - a]
-        else:
-            for n in range(a, limit + 1):
-                c = counts[n] + counts[n - a]
-                counts[n] = c if c < cap else cap
+        for n in range(a, limit + 1):
+            counts[n] += counts[n - a]
     return counts
 
 
@@ -70,78 +75,105 @@ def denumerant_oracle(gens: GeneratorTuple, n: int) -> int:
     return count(0, n)
 
 
-def _apery_tuple(elements: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Least member per residue class mod a1, by (p+1)-shortest multiset sums.
+def _member_word(elements: tuple[int, ...], p: int, limit: int) -> int:
+    """The word whose bit n (n < limit) is set iff d(n) > p.
 
-    n has d(n) > p iff at least p+1 multisets of a2..ak have sum <= n in the
-    class of n (each one is completed by copies of a1), so the Apery element
-    of class j is the (p+1)-th smallest such sum.  A Dijkstra search over the
-    states (residue, index i of the last generator) enumerates the non-empty
-    multisets, as ascending index sequences, in ascending sum order.  A pop
-    pushes two moves: append generator i again, or replace the last one by
-    generator i+1.  Each sequence has one parent, so each multiset is reached
-    once; the sums reachable from a state are its own minus g_i plus those of
-    the multisets from index i on, so a state popped p+1 times is done: any
-    longer path through it is beaten by p+1 others with the same continuation.
+    The counts live in B = (p+1).bit_length() bit-planes, saturated at
+    2**B - 1 >= p + 1, which is all the comparison with p needs.  Each
+    factor 1/(1 - x**a) of the generating function is, below x**limit, the
+    product of the factors 1 + x**s for s = a, 2a, 4a, ... < limit, and each
+    of those is one ripple-carry add of the planes shifted by s; a carry out
+    of the top plane sets every plane, which saturates the count.  For p = 0
+    there is one plane and the add is an OR.
     """
-    a1, rest = elements[0], elements[1:]
-    m = len(rest)
-    width = a1 * m
-    need = p + 1
-    visits = [0] * width
-    seen = [0] * a1
-    seen[0] = 1  # the empty multiset
-    ap = [0] * a1
-    left = a1 - 1 if need == 1 else a1
-    g = rest[0]
-    heap = [g * width + (g % a1) * m]  # key sum * width + residue * m + last index
-    while left:
-        s, state = divmod(heappop(heap), width)
-        if visits[state] == need:
-            continue
-        visits[state] += 1
-        r, i = divmod(state, m)
-        seen[r] += 1
-        if seen[r] == need:
-            ap[r] = s
-            left -= 1
-        g = rest[i]
-        nxt = ((r + g) % a1) * m + i
-        if visits[nxt] < need:
-            heappush(heap, (s + g) * width + nxt)
-        if i + 1 < m:
-            h = rest[i + 1] - g
-            nxt = ((r + h) % a1) * m + i + 1
-            if visits[nxt] < need:
-                heappush(heap, (s + h) * width + nxt)
-    return tuple(ap)
+    mask = (1 << limit) - 1
+    if not p:
+        word = mask & 1
+        for a in elements:
+            s = a
+            while s < limit:
+                word |= (word << s) & mask
+                s += s
+        return word
+    planes = [mask & 1] + [0] * ((p + 1).bit_length() - 1)
+    for a in elements:
+        s = a
+        while s < limit:
+            low = planes[0]
+            shifted = (low << s) & mask
+            planes[0] = low ^ shifted
+            carry = low & shifted
+            for i in range(1, len(planes)):
+                x = planes[i]
+                shifted = (x << s) & mask
+                half = x ^ shifted
+                planes[i] = half ^ carry
+                carry = (x & shifted) | (half & carry)
+            if carry:
+                for i in range(len(planes)):
+                    planes[i] |= carry
+            s += s
+    # count > p, decided from the top plane down: ``tie`` holds the integers
+    # whose count agrees with p on every plane read so far
+    above, tie = 0, mask
+    for i in reversed(range(len(planes))):
+        if p >> i & 1:
+            tie &= planes[i]
+        else:
+            above |= tie & planes[i]
+            tie &= ~planes[i]
+    return above
+
+
+def _table_of(word: int) -> bytes:
+    """Byte n is 1 iff bit n of ``word`` is set, up to its highest set bit."""
+    return format(word, "b").encode()[::-1].translate(_FROM_DIGITS)
 
 
 def build_psemigroup(gens: GeneratorTuple, p: int) -> PSemigroup:
-    """The p-semigroup of ``gens``, built from its Apery tuple mod a1.
+    """The p-semigroup of ``gens``, from its membership word.
 
-    The search pops each of its a1*(k-1) states at most p+1 times, so its
-    work is known before it starts and is checked against the size cap; the
-    frontier, one past the a1 members that follow the Frobenius number, is
-    checked before the membership bytes are allocated.  The bytes take one
-    slice assignment per residue class.
+    The word is built up to a limit that starts at a guess and doubles until
+    its top a1 bits are all members: that run certifies every larger
+    integer (adding a1 never removes a representation), so the frontier,
+    one past the a1 members that follow the Frobenius number, is at most the
+    limit.  Each limit is clamped to the size cap, so a job is rejected
+    exactly when its frontier exceeds the cap.  The Apery tuple mod a1 is
+    the first member of each residue class of the bytes.
     """
     if p < 0:
         raise ValidationError("p must be non-negative")
     elements = gens.elements
     a1 = elements[0]
-    _check_table_size(a1 * (len(elements) - 1) * (p + 1), "the Apery search")
-    ap = _apery_tuple(elements, p)
-    frobenius = max(ap) - a1
+    cap = _table_cap()
+    run = (1 << a1) - 1
+    # For k generators d(n) grows like n**(k-1) / ((k-1)! * prod(gens)), so
+    # the frontier is near the (k-1)-th root of ``guess``; the pair a1, a2
+    # alone has its frontier below (p+1) * a1 * a2, and more generators only
+    # lower it.
+    m = len(elements) - 1
+    guess = (p + 1) * factorial(m) * prod(elements)
+    limit = min(1 << -(-guess.bit_length() // m), (p + 1) * a1 * elements[1], cap)
+    while True:
+        word = _member_word(elements, p, limit)
+        if limit >= a1 and word >> (limit - a1) == run:
+            break
+        if limit == cap:
+            raise TableLimitError(
+                f"the membership table needs more than the {cap} entries allowed "
+                f"(raise {TABLE_LIMIT_ENV} to allow it)"
+            )
+        limit = min(2 * limit, cap)
+    frobenius = (word ^ ((1 << limit) - 1)).bit_length() - 1
     frontier = frobenius + 1 + a1
-    _check_table_size(frontier, "the membership table")
-    membership = bytearray(frontier)
-    for start in ap:
-        membership[start::a1] = b"\x01" * len(range(start, frontier, a1))
+    membership = _table_of(word & ((1 << frontier) - 1))
+    # from a list: tuple() over a generator reallocates as it grows, which
+    # fragmented the heap enough to add ~3 MB of peak RSS over 40 batches
+    ap = tuple([j + a1 * membership[j::a1].find(1) for j in range(a1)])
     return PSemigroup(
         gens=gens,
         p=p,
-        membership=bytes(membership),
+        membership=membership,
         frontier=frontier,
         least_element=min(ap),
         frobenius=frobenius,
@@ -150,19 +182,19 @@ def build_psemigroup(gens: GeneratorTuple, p: int) -> PSemigroup:
 
 
 def membership_oracle(gens: GeneratorTuple, p: int, limit: int) -> bytes:
-    """Oracle: membership bytes for 0..limit-1 from the saturating count table.
+    """Oracle: membership bytes for 0..limit-1 from the exact count table.
 
-    Shares nothing with the Apery search.  Run up to the frontier it must
-    equal ``PSemigroup.membership``, whose last a1 entries are all members:
-    the run that certifies every larger integer, since adding a1 never
-    removes a representation.
+    Shares nothing with the bit planes of ``build_psemigroup``.  Run up to
+    the frontier it must equal ``PSemigroup.membership``, whose last a1
+    entries are all members: the run that certifies every larger integer,
+    since adding a1 never removes a representation.
     """
     if limit < 0:
         raise ValidationError("table limit must be non-negative")
     _check_table_size(limit, "the membership oracle")
     if limit == 0:
         return b""
-    counts = _count_table(gens.elements, limit - 1, cap=p + 1)
+    counts = _count_table(gens.elements, limit - 1)
     return bytes(map(p.__lt__, counts))
 
 
@@ -182,10 +214,10 @@ def _positive_apery(semigroup: PSemigroup) -> list[int]:
     return [m if m else a1 for m in semigroup.apery]
 
 
-def minimal_generators(semigroup: PSemigroup) -> list[int]:
-    """Minimal monoid generators of the members with 0 adjoined.
+def _generator_ranges(semigroup: PSemigroup) -> list[range]:
+    """The minimal generators of the members with 0 adjoined, one range per class.
 
-    With pos[r] the least positive member of class r, the sums of two
+    With pos[r] the least positive member of class r mod a1, the sums of two
     positive members in class r are exactly the integers of that class from
     min_i pos[i] + pos[r - i] on, because every class is closed under adding
     a1.  The minimal generators of class r are the members below that bound.
@@ -195,9 +227,18 @@ def minimal_generators(semigroup: PSemigroup) -> list[int]:
     out = []
     for r in range(a1):
         partners = pos[r::-1] + pos[:r:-1]  # partners[i] = pos[(r - i) % a1]
-        bound = min(map(add, pos, partners))
-        out.extend(range(pos[r], bound, a1))
-    return sorted(out)
+        out.append(range(pos[r], min(map(add, pos, partners)), a1))
+    return out
+
+
+def minimal_generators(semigroup: PSemigroup) -> list[int]:
+    """Minimal monoid generators of the members with 0 adjoined, ascending."""
+    return sorted(chain.from_iterable(_generator_ranges(semigroup)))
+
+
+def embedding_dimension(semigroup: PSemigroup) -> int:
+    """The number of minimal generators, counted without listing them."""
+    return sum(map(len, _generator_ranges(semigroup)))
 
 
 def minimal_generators_scan(semigroup: PSemigroup) -> list[int]:

@@ -2,14 +2,16 @@
 
 The report always cross-checks the Apery-formula Frobenius number, genus
 and gap sum against the ones read off the membership bytes (cheap, and
-provably equal); ``verify=True`` adds the heavier re-derivations:
-membership from the count table, the scanned minimal generators and
-valuation lengths, brute-force power sums over the gap list, three-way
-pseudo-Frobenius agreement, the Hilbert factorization identity, the
-gcd-reduction lift of a separately built reduced tuple, and the matching
-closed forms when the generator tuple has one.  ``check_series``
-and ``check_denumerant`` are the checks the ``hilbert``, ``membership``
-and ``denumerant`` commands share with it.
+provably equal).  Tuple and bytes come from the same bit-plane build, so
+this checks the formulas, not the build; ``verify=True`` adds the heavier
+re-derivations, each sharing nothing with the planes: membership from the
+count table, the scanned minimal generators and valuation lengths,
+brute-force power sums over the gap list, three-way pseudo-Frobenius
+agreement, the Hilbert factorization identity, the gcd-reduction lift of a
+separately built reduced tuple, and the matching closed forms when the
+generator tuple has one.  ``check_series`` and ``check_denumerant`` are the
+checks the ``hilbert``, ``membership`` and ``denumerant`` commands share
+with it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .core import GeneratorTuple, InternalConsistencyError, PSemigroup, _check_t
 from .enumeration import (
     build_psemigroup,
     denumerant_oracle,
+    embedding_dimension,
     gaps,
     membership_oracle,
     minimal_generators,
@@ -101,6 +104,8 @@ def _verify_extras(semigroup: PSemigroup, report: dict) -> None:
     fast, scanned = minimal_generators(semigroup), minimal_generators_scan(semigroup)
     if fast != scanned:
         _mismatch("minimal generators", fast, scanned, gens, p)
+    if report["embedding_dimension"] != len(scanned):
+        _mismatch("embedding dimension", report["embedding_dimension"], len(scanned), gens, p)
     if p >= 1:
         valuation = tuple(report["valuation"].values())
         scanned = valuation_lengths_scan(semigroup)
@@ -191,7 +196,7 @@ def build_invariant_report(
         "type": len(pf),
         "classification": classify(semigroup),
         "valuation": valuation,
-        "embedding_dimension": len(minimal_generators(semigroup)),
+        "embedding_dimension": embedding_dimension(semigroup),
     }
     if verify:
         _verify_extras(semigroup, report)

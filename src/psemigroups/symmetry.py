@@ -13,8 +13,10 @@ some non-minimal generator tuples, where the gap count matches by accident.
 The window pairing and ``pseudo_frobenius`` read only ``membership``,
 ``frobenius`` and ``least_element``, so the ordinary semigroups of the
 decomposition (``FiniteSemigroup``, least element 0) run on them too.
-``_bits`` is the package's one word format, bit n for integer n, shared by
-``pf_via_gap_maximals`` and every word of the decomposition.
+The package has one word format, bit n for integer n, shared by the
+membership build, ``pf_via_gap_maximals`` and every word of the
+decomposition; ``_bits`` turns bytes into such a word and
+``enumeration._table_of`` turns it back.
 """
 
 from __future__ import annotations
@@ -134,7 +136,9 @@ def pf_via_gap_maximals(semigroup: PSemigroup) -> list[int]:
     every word of the decomposition shares.  ``pseudo_frobenius`` (the
     per-integer definition) and ``pf_via_apery_maximals`` (the Apery tuple)
     share no kernel with it, so the three-way ``--verify`` check keeps two
-    witnesses independent of the word form.
+    witnesses independent of the word form.  All three read the bytes and
+    tuple of one bit-plane build (``enumeration._member_word``), whose own
+    witness is the count table of ``membership_oracle``.
     """
     g = semigroup.frobenius
     table = semigroup.membership

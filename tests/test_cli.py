@@ -629,6 +629,7 @@ def _flip_first_byte(membership: bytes) -> bytes:
         ("report", "lift_invariants", lambda t: (t[0] + 1, *t[1:]), "invariants", "p=1"),
         ("cli", "verify_decomposition", lambda ok: not ok, "decompose", "p=1"),
         ("cli", "minimal_generators_scan", lambda gens: gens[:-1], "decompose", "p=1"),
+        ("cli", "_table_of", _flip_first_byte, "decompose", "p=1"),
     ],
 )
 def test_verify_cross_checks_exit_1_naming_gens_and_p(
@@ -647,3 +648,13 @@ def test_verify_cross_checks_exit_1_naming_gens_and_p(
     code, out, err = run(capsys, [*base, "--verify"])
     assert (code, out) == (1, "")
     assert f"for gens=(3, 5) {where}".strip() + "\n" in err
+
+
+def test_component_span_check_reads_a_gap_at_its_limit():
+    """<3, 5> agrees with <3, 5, 7> below 7, the last integer the check reads."""
+    from psemigroups.cli import _spans
+    from psemigroups.decompose import FiniteSemigroup
+
+    component = FiniteSemigroup.from_generators([3, 5, 7])
+    assert _spans([3, 5, 7], component)
+    assert not _spans([3, 5], component)

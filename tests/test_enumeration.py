@@ -4,7 +4,7 @@ from math import gcd
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psemigroups import (
@@ -24,8 +24,11 @@ from psemigroups import (
     valuation_lengths,
     valuation_lengths_scan,
 )
+from psemigroups import enumeration
+from psemigroups.cli import main
 from psemigroups.decompose import FiniteSemigroup, irreducible_decomposition
 from psemigroups.enumeration import _count_table
+from psemigroups.symmetry import _bits
 
 T31017 = (3, 10, 17)
 
@@ -171,11 +174,56 @@ def test_table_limit_env(monkeypatch):
         build_psemigroup(validate_generators([2, 3]), 0)
 
 
-def test_table_limit_bounds_apery_search(monkeypatch):
-    # the search for (3, 10, 17) at p = 5 pops at most 3 * 2 * 6 = 36 states
-    monkeypatch.setenv("PSG_MAX_TABLE", "35")
-    with pytest.raises(TableLimitError, match="Apery search"):
-        build_psemigroup(validate_generators([3, 10, 17]), 5)
+def _kernel_limits(monkeypatch) -> list[int]:
+    """The limits each later build passes to the membership kernel, in order."""
+    limits = []
+    real = enumeration._member_word
+
+    def spy(elements, p, limit):
+        limits.append(limit)
+        return real(elements, p, limit)
+
+    monkeypatch.setattr(enumeration, "_member_word", spy)
+    return limits
+
+
+# (3, 10, 17) at p = 5 certifies at its first limit, 128 > frontier 69;
+# (2, 4, 9) at p = 0 falls short at 8 < frontier 10 and doubles.
+@pytest.mark.parametrize(
+    "raw, p",
+    [
+        pytest.param(T31017, 5, id="first-limit-certifies"),
+        pytest.param((2, 4, 9), 0, id="first-limit-doubles"),
+    ],
+)
+def test_table_cap_rejects_exactly_the_frontiers_above_it(capsys, monkeypatch, raw, p):
+    gens = validate_generators(list(raw))
+    S = build_psemigroup(gens, p)
+    argv = ["invariants", "--gens", ",".join(map(str, raw)), "-p", str(p)]
+    monkeypatch.setenv("PSG_MAX_TABLE", str(S.frontier - 1))
+    assert main(argv) == 2
+    assert "the membership table" in capsys.readouterr().err
+    monkeypatch.setenv("PSG_MAX_TABLE", str(S.frontier))
+    assert build_psemigroup(gens, p) == S
+
+
+def test_each_kernel_limit_is_clamped_to_the_cap(monkeypatch):
+    limits = _kernel_limits(monkeypatch)
+    gens = validate_generators(list(T31017))
+    S = build_psemigroup(gens, 5)
+    first = limits[0]
+    assert limits == [first] and first > S.frontier
+    # a first limit over the cap is cut to it, and the frontier still fits
+    cap = (S.frontier + first) // 2
+    monkeypatch.setenv("PSG_MAX_TABLE", str(cap))
+    limits.clear()
+    assert build_psemigroup(gens, 5) == S
+    assert limits == [cap]
+    # a doubling past the cap stops at it: 8, then 16 cut to 10
+    monkeypatch.setenv("PSG_MAX_TABLE", "10")
+    limits.clear()
+    assert build_psemigroup(validate_generators([2, 4, 9]), 0).frontier == 10
+    assert limits == [8, 10]
 
 
 def test_denumerant_table_limit(monkeypatch):
@@ -225,11 +273,13 @@ def test_scale_case_table_limit(monkeypatch):
     assert build_psemigroup(gens, p).frontier == frontier
 
 
-def test_apery_search_memory_stays_near_its_states():
-    """Two heap pushes per pop, not one per later generator index.
+def test_build_memory_stays_near_its_planes():
+    """The build holds a few limit-bit words, not one object per search state.
 
-    163 generators at p = 1 give 162 * 162 * 2 states; one push per index
-    j >= i would hold ~a1 * k**2 / 8 heap entries, over 20 MB here.
+    163 generators at p = 1 take two planes of at most (p+1) * a1 * a2 =
+    52,812 bits each.  A shortest-path search over the 162 * 162 * 2
+    (residue, last generator, visit) states that pushed one move per later
+    generator held ~a1 * k**2 / 8 heap entries, over 20 MB.
     """
     gens = validate_generators(list(range(162, 325)))
     tracemalloc.start()
@@ -247,6 +297,26 @@ gen_lists = (
     .map(lambda xs: sorted(set(xs)))
     .filter(lambda xs: len(xs) >= 2 and reduce(gcd, xs) == 1)
 )
+
+
+# p at both sides of every plane boundary up to five planes (p + 1 = 2**B - 1
+# and 2**B); the listed tuples fail the certificate at their first limit
+@settings(max_examples=80, deadline=None)
+@given(
+    gen_lists,
+    st.sampled_from((0, 1, 2, 3, 6, 7, 14, 15)),
+    st.integers(min_value=0, max_value=400),
+)
+@example([2, 4, 9], 0, 10)
+@example([2, 4, 13], 1, 17)
+@example([3, 4, 6], 6, 33)
+@example([3, 6, 7], 3, 1)
+def test_sliced_counts_match_the_count_table(raw, p, limit):
+    gens = validate_generators(raw)
+    word = enumeration._member_word(gens.elements, p, limit)
+    assert word == _bits(membership_oracle(gens, p, limit))
+    S = build_psemigroup(gens, p)
+    assert S.membership == membership_oracle(gens, p, S.frontier)
 
 
 @settings(max_examples=30, deadline=None)
