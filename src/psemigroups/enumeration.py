@@ -130,6 +130,13 @@ def _table_of(word: int) -> bytes:
     return format(word, "b").encode()[::-1].translate(_FROM_DIGITS)
 
 
+def _membership_over_cap(cap: int) -> TableLimitError:
+    return TableLimitError(
+        f"the membership table needs more than the {cap} entries allowed "
+        f"(raise {TABLE_LIMIT_ENV} to allow it)"
+    )
+
+
 def build_psemigroup(gens: GeneratorTuple, p: int) -> PSemigroup:
     """The p-semigroup of ``gens``, from its membership word.
 
@@ -138,7 +145,8 @@ def build_psemigroup(gens: GeneratorTuple, p: int) -> PSemigroup:
     integer (adding a1 never removes a representation), so the frontier,
     one past the a1 members that follow the Frobenius number, is at most the
     limit.  Each limit is clamped to the size cap, so a job is rejected
-    exactly when its frontier exceeds the cap.  The Apery tuple mod a1 is
+    exactly when its frontier exceeds the cap; a bound on d(cap - 1) rejects
+    most such jobs before any word is built.  The Apery tuple mod a1 is
     the first member of each residue class of the bytes.
     """
     if p < 0:
@@ -153,16 +161,20 @@ def build_psemigroup(gens: GeneratorTuple, p: int) -> PSemigroup:
     # lower it.
     m = len(elements) - 1
     guess = (p + 1) * factorial(m) * prod(elements)
+    # d(n) is at most the number of x_2..x_k >= 0 with sum a_i x_i <= n, and
+    # their unit cubes fill part of the simplex sum a_i y_i <= n + a_2 + ...
+    # + a_k, of volume (n + a_2 + ... + a_k)**m / (m! * a_2 * ... * a_k).  If
+    # that is below p + 1 at n = cap - 1, then cap - 1 is a gap and the
+    # frontier exceeds the cap: reject before building anything.
+    if (cap - 1 + sum(elements) - a1) ** m * a1 < guess:
+        raise _membership_over_cap(cap)
     limit = min(1 << -(-guess.bit_length() // m), (p + 1) * a1 * elements[1], cap)
     while True:
         word = _member_word(elements, p, limit)
         if limit >= a1 and word >> (limit - a1) == run:
             break
         if limit == cap:
-            raise TableLimitError(
-                f"the membership table needs more than the {cap} entries allowed "
-                f"(raise {TABLE_LIMIT_ENV} to allow it)"
-            )
+            raise _membership_over_cap(cap)
         limit = min(2 * limit, cap)
     frobenius = (word ^ ((1 << limit) - 1)).bit_length() - 1
     frontier = frobenius + 1 + a1

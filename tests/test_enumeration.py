@@ -226,6 +226,45 @@ def test_each_kernel_limit_is_clamped_to_the_cap(monkeypatch):
     assert limits == [8, 10]
 
 
+@pytest.mark.parametrize(
+    "raw, p",
+    [
+        pytest.param("2,3", 10**9, id="two-generators"),
+        pytest.param("2,3,5,7,11,13,17,19,23,29", 10**60, id="ten-generators"),
+    ],
+)
+def test_a_frontier_far_past_the_cap_is_rejected_before_any_word(capsys, monkeypatch, raw, p):
+    # the default cap rejects these too; a small one keeps a build that
+    # slipped through at ~200 planes of cap bits down to a few MB
+    monkeypatch.setenv("PSG_MAX_TABLE", str(10**6))
+    limits = _kernel_limits(monkeypatch)
+    assert main(["invariants", "--gens", raw, "-p", str(p), "--quiet"]) == 2
+    assert "the membership table" in capsys.readouterr().err
+    assert limits == []
+
+
+# At cap = frontier the integer cap - 1 is a member, so d(cap - 1) > p: the
+# bound that rejects before building must not fire there.
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=2, max_value=25), min_size=2, max_size=6)
+    .map(lambda xs: sorted(set(xs)))
+    .filter(lambda xs: len(xs) >= 2 and reduce(gcd, xs) == 1),
+    st.integers(min_value=0, max_value=40),
+)
+@example([6, 7, 8, 9, 10, 11], 20)
+@example([2, 3], 0)
+def test_the_early_rejection_never_refuses_a_frontier_at_the_cap(raw, p):
+    gens = validate_generators(raw)
+    S = build_psemigroup(gens, p)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PSG_MAX_TABLE", str(S.frontier))
+        assert build_psemigroup(gens, p) == S
+        patch.setenv("PSG_MAX_TABLE", str(S.frontier - 1))
+        with pytest.raises(TableLimitError, match="the membership table"):
+            build_psemigroup(gens, p)
+
+
 def test_denumerant_table_limit(monkeypatch):
     monkeypatch.setenv("PSG_MAX_TABLE", "1000")
     gens = validate_generators([2, 3])
