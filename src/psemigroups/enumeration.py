@@ -7,19 +7,22 @@ with one ripple-carry add per factor 1 + x**(a * 2**j), so its cost grows
 with the Frobenius number: about B * sum_a log2(limit / a) word operations
 on limit-bit ints, where the limit is a guess at the frontier, doubled until
 the word certifies it.  The membership bytes, the Frobenius number, the
-Apery tuple modulo a1 = min(gens), the least element and the minimal
-generators all follow.  The coin-counting table survives as the denumerant
-evaluator and, run up to the frontier, as the membership oracle for tests
-and ``--verify``; it shares nothing with the planes.  The definitional
-minimal-generator scan is kept as an oracle the same way, and serves the
-decomposition components, which carry no Apery tuple.
+Apery tuple modulo a1 = min(gens) and the least element all follow.  The
+minimal generators come from one sumset word of the least positive member
+of each class mod a1: about a1 / 2 shift-ORs of words of at most width
+bits, where width is one more than the spread of those members.  The
+coin-counting table survives as the denumerant evaluator and, run up to the
+frontier, as the membership oracle for tests and ``--verify``; it shares
+nothing with the planes.  The definitional minimal-generator scan is kept as
+an oracle the same way: it reads the membership bytes and shares no kernel
+with the sumset.  It also serves the decomposition components, which carry
+no Apery tuple.
 """
 
 from __future__ import annotations
 
 from itertools import chain, compress
 from math import factorial, prod
-from operator import add
 
 from .core import (
     TABLE_LIMIT_ENV,
@@ -144,10 +147,13 @@ def build_psemigroup(gens: GeneratorTuple, p: int) -> PSemigroup:
     its top a1 bits are all members: that run certifies every larger
     integer (adding a1 never removes a representation), so the frontier,
     one past the a1 members that follow the Frobenius number, is at most the
-    limit.  Each limit is clamped to the size cap, so a job is rejected
-    exactly when its frontier exceeds the cap; a bound on d(cap - 1) rejects
-    most such jobs before any word is built.  The Apery tuple mod a1 is
-    the first member of each residue class of the bytes.
+    limit.  Each limit is clamped to the size cap, and a bound on d(cap - 1)
+    rejects most jobs whose frontier exceeds the cap before any word is
+    built.  The B planes of one limit may hold at most 8 * cap bits, the
+    bytes of a cap-entry table; the budget is checked before each word, and
+    only p >= 255 (B > 8) can break it.  So for p < 255 a job is rejected
+    exactly when its frontier exceeds the cap.  The Apery tuple mod a1 is the
+    first member of each residue class of the bytes.
     """
     if p < 0:
         raise ValidationError("p must be non-negative")
@@ -169,7 +175,14 @@ def build_psemigroup(gens: GeneratorTuple, p: int) -> PSemigroup:
     if (cap - 1 + sum(elements) - a1) ** m * a1 < guess:
         raise _membership_over_cap(cap)
     limit = min(1 << -(-guess.bit_length() // m), (p + 1) * a1 * elements[1], cap)
+    planes = (p + 1).bit_length()
     while True:
+        if planes * limit > 8 * cap:
+            raise TableLimitError(
+                f"the {planes} membership bit-planes need {planes * limit} bits, "
+                f"more than the {8 * cap} allowed (raise {TABLE_LIMIT_ENV} to "
+                f"allow them)"
+            )
         word = _member_word(elements, p, limit)
         if limit >= a1 and word >> (limit - a1) == run:
             break
@@ -231,15 +244,43 @@ def _generator_ranges(semigroup: PSemigroup) -> list[range]:
 
     With pos[r] the least positive member of class r mod a1, the sums of two
     positive members in class r are exactly the integers of that class from
-    min_i pos[i] + pos[r - i] on, because every class is closed under adding
-    a1.  The minimal generators of class r are the members below that bound.
+    the least pos[i] + pos[j] in it on, because every class is closed under
+    adding a1.  The minimal generators of class r are the members below that
+    bound.
+
+    The bounds come from one sumset word.  Let l = min(pos) and M = max(pos).
+    Every sum is at least 2l, and class r holds the sum pos[r - l] + l <= M +
+    l, so its least sum lies in the window [2l, M + l], offsets 0..width - 1
+    from 2l with width = M - l + 1.  The word of the offsets pos[i] - l,
+    shifted up by d = pos[j] - l and cut to the window, marks every sum
+    pos[i] + pos[j] there.  A shift with 2d >= width reaches, inside the
+    window, only offsets u < d, whose own shift by u marked those sums
+    already, so it is skipped.  The bound of class r is the first marked bit
+    of its class.
     """
     a1 = semigroup.gens.least
     pos = _positive_apery(semigroup)
+    low = min(pos)
+    width = max(pos) - low + 1
+    # set the bits in bytes: an OR per element would copy the word a1 times
+    packed = bytearray((width + 7) // 8)
+    for m in pos:
+        t = m - low
+        packed[t >> 3] |= 1 << (t & 7)
+    word = int.from_bytes(packed, "little")
+    window = (1 << width) - 1
+    sums = 0
+    for m in pos:
+        d = m - low
+        if 2 * d < width:
+            sums |= (word << d) & window
+    # every class has a sum in the window, so no find returns -1
+    table = _table_of(sums)
+    base = 2 * low
     out = []
     for r in range(a1):
-        partners = pos[r::-1] + pos[:r:-1]  # partners[i] = pos[(r - i) % a1]
-        out.append(range(pos[r], min(map(add, pos, partners)), a1))
+        c = (r - base) % a1
+        out.append(range(pos[r], base + c + a1 * table[c::a1].find(1), a1))
     return out
 
 

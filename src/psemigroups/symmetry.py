@@ -150,19 +150,27 @@ def pf_via_gap_maximals(semigroup: PSemigroup) -> list[int]:
 
 
 def pf_via_apery_maximals(semigroup: PSemigroup) -> list[int]:
-    """Maximal Apery elements (same order), each shifted down by the modulus."""
+    """Maximal Apery elements (same order), each shifted down by the modulus.
+
+    w is dominated iff v - w + least is a member for some Apery element
+    v > w.  Those probes stay below max(ap) + least + 1, so the membership
+    bytes are padded with members to that length once and indexed.  The
+    partners v are tried from the largest down, because a probe past the
+    Frobenius number is a member: most dominated w stop at the first one.
+    """
     if semigroup.frobenius < 0:
         return []
-    elements = apery_set(semigroup)
+    elements = sorted(apery_set(semigroup), reverse=True)
+    a = len(elements)
     least = semigroup.least_element
+    top = elements[0] + least + 1
+    window = semigroup.membership[:top].ljust(top, b"\x01")
     out = []
-    for w in elements:
-        dominated = any(
-            v > w and semigroup.contains(v - w + least) for v in elements
-        )
-        if not dominated:
-            out.append(w - len(elements))
-    return sorted(out)
+    for i, w in enumerate(elements):
+        shift = least - w
+        if not any(window[v + shift] for v in elements[:i]):
+            out.append(w - a)
+    return out[::-1]
 
 
 def valuation_lengths(semigroup: PSemigroup) -> tuple[int, int, int]:

@@ -27,7 +27,7 @@ from psemigroups import (
 from psemigroups import enumeration
 from psemigroups.cli import main
 from psemigroups.decompose import FiniteSemigroup, irreducible_decomposition
-from psemigroups.enumeration import _count_table
+from psemigroups.enumeration import _count_table, embedding_dimension
 from psemigroups.symmetry import _bits
 
 T31017 = (3, 10, 17)
@@ -243,6 +243,20 @@ def test_a_frontier_far_past_the_cap_is_rejected_before_any_word(capsys, monkeyp
     assert limits == []
 
 
+def test_bit_planes_over_their_budget_are_rejected_before_any_word(capsys, monkeypatch):
+    # p = 10**12 takes 40 planes; the first limit is 2,048 bits and the
+    # frontier is 1,038, well inside either cap below
+    argv = ["invariants", "--gens", "2,3,5,7,11,13,17,19,23,29", "-p", str(10**12), "--quiet"]
+    limits = _kernel_limits(monkeypatch)
+    monkeypatch.setenv("PSG_MAX_TABLE", str(40 * 2048 // 8 - 1))
+    assert main(argv) == 2
+    assert "the 40 membership bit-planes need 81920 bits" in capsys.readouterr().err
+    assert limits == []
+    monkeypatch.setenv("PSG_MAX_TABLE", str(40 * 2048 // 8))
+    assert main(argv) == 0
+    assert limits == [2048]
+
+
 # At cap = frontier the integer cap - 1 is a member, so d(cap - 1) > p: the
 # bound that rejects before building must not fire there.
 @settings(max_examples=60, deadline=None)
@@ -298,7 +312,25 @@ def test_scale_case_invariants_agree():
     assert frobenius_from_apery(ap) == S.frobenius == S.membership.rindex(0) == 441384
     assert genus_from_apery(ap) == S.gap_count
     assert S.frontier == S.frobenius + 1 + raw[0]
+    assert embedding_dimension(S) == 409567
     assert perf_counter() - start < 2.0
+
+
+def test_embedding_dimension_memory_stays_below_the_table():
+    """The sumset words hold a few bits per integer of the Apery spread.
+
+    The count of 409,567 generators is summed over one range per class,
+    with no list of the generators and no byte per integer of the table.
+    """
+    raw, p = SCALE_CASE
+    S = build_psemigroup(validate_generators(list(raw)), p)
+    tracemalloc.start()
+    try:
+        assert embedding_dimension(S) == 409567
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(S.membership)
 
 
 def test_scale_case_table_limit(monkeypatch):
@@ -418,9 +450,43 @@ def test_apery_build_matches_count_table(raw, p):
 @given(gen_lists, st.integers(min_value=0, max_value=8))
 def test_apery_derived_invariants_match_scans(raw, p):
     S = build_psemigroup(validate_generators(raw), p)
-    assert minimal_generators(S) == minimal_generators_scan(S)
+    scanned = minimal_generators_scan(S)
+    assert minimal_generators(S) == scanned
+    assert embedding_dimension(S) == len(scanned)
     if p >= 1:
         assert valuation_lengths(S) == valuation_lengths_scan(S)
+
+
+def _least_sums(semigroup):
+    """Least sum of two positive Apery elements per class: the min-plus square."""
+    a1 = semigroup.gens.least
+    pos = [m if m else a1 for m in semigroup.apery]
+    return [min(pos[i] + pos[(r - i) % a1] for i in range(a1)) for r in range(a1)]
+
+
+# The window of the sumset runs from 2l to max + l, l and max the least and
+# largest positive Apery elements.  The class of 2l always has its least sum
+# there; ``at_max`` marks the cases whose least sum of some class is max + l.
+@pytest.mark.parametrize(
+    "raw, p, at_max",
+    [
+        pytest.param((2, 3), 0, True, id="2-3"),
+        pytest.param(T31017, 0, True, id="p0-class-0-is-a1"),
+        pytest.param(T31017, 4, False, id="3-10-17-p4"),
+        pytest.param((3, 5), 1, True, id="3-5-p1"),
+        pytest.param((1, 2), 0, True, id="a1-is-1"),
+        pytest.param((1, 2), 3, True, id="a1-is-1-p3"),
+    ],
+)
+def test_sumset_bounds_match_the_min_plus_square(raw, p, at_max):
+    S = build_psemigroup(validate_generators(list(raw)), p)
+    ranges = enumeration._generator_ranges(S)
+    least_sums = _least_sums(S)
+    assert [r.stop for r in ranges] == least_sums
+    low, high = min(r.start for r in ranges), max(r.start for r in ranges)
+    assert 2 * low in least_sums
+    assert (high + low in least_sums) == at_max
+    assert embedding_dimension(S) == len(minimal_generators_scan(S))
 
 
 def _minimal_generators_oracle(semigroup):
