@@ -26,6 +26,7 @@ from .core import (
     PSemigroup,
     ValidationError,
     _exact_int,
+    _least_per_class,
 )
 
 
@@ -34,21 +35,14 @@ def apery_set(semigroup: PSemigroup, modulus: int | None = None) -> tuple[int, .
 
     Entry j is the least member congruent to j, so the tuple's length is its
     modulus.  The least modulus returns the tuple the semigroup was built
-    from; for any other generator, one C-level search per residue class
-    finds the first member in that class's stride of the membership table.
+    from; any other generator searches the membership table once per class.
     """
     a = semigroup.gens.least if modulus is None else modulus
     if a == semigroup.gens.least:
         return semigroup.apery
     if a not in semigroup.gens.elements:
         raise ModulusNotGeneratorError(f"{a} is not one of the generators")
-    by_residue = []
-    for j in range(a):
-        row = semigroup.membership[j::a]
-        i = row.find(1)
-        # everything at or past the end of the table is a member
-        by_residue.append(j + a * (len(row) if i == -1 else i))
-    return tuple(by_residue)
+    return _least_per_class(semigroup.membership, a)
 
 
 def frobenius_from_apery(ap: tuple[int, ...]) -> int:

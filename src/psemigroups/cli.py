@@ -25,13 +25,7 @@ from .core import (
     ValidationError,
     validate_generators,
 )
-from .enumeration import (
-    _member_word,
-    _table_of,
-    build_psemigroup,
-    denumerant_table,
-    minimal_generators_scan,
-)
+from .enumeration import _member_word, build_psemigroup, denumerant_table, minimal_generators_scan
 from .hilbert import gaps_series, hilbert_direct
 from .decompose import (
     FiniteSemigroup,
@@ -129,10 +123,13 @@ def _spans(generators: list[int], component: FiniteSemigroup) -> bool:
     The span is the membership word at p = 0, one shift-OR per doubling of
     each generator, which shares nothing with the scan that listed the
     generators; the run of min(generators) members after the Frobenius
-    number certifies every larger integer.  A member bit past the limit pads
-    the bytes, so a gap just below it stays a gap.  Validation needs two
-    generators, so the full monoid's ``[1]`` is compared with the empty
-    table directly.
+    number certifies every larger integer.  Validation needs two generators,
+    so the full monoid's ``[1]`` is compared with the empty table directly.
+    The kernel runs at the component's own limit: routed through
+    ``FiniteSemigroup.from_generators`` (``build_psemigroup`` at p = 0, whose
+    first limit guesses far past a small component's frontier), ``decompose
+    --verify --gens 37,53,71 -p 20`` took 426 s instead of 2.07 s, with the
+    same output.
     """
     if generators == [1]:
         return component == FiniteSemigroup(b"")
@@ -141,8 +138,8 @@ def _spans(generators: list[int], component: FiniteSemigroup) -> bool:
     except ValidationError:
         return False
     limit = component.frobenius + 1 + checked.least
-    span = _table_of(_member_word(checked.elements, 0, limit) | 1 << limit)
-    return checked.minimal and FiniteSemigroup.from_table(span) == component
+    span = FiniteSemigroup.from_word(_member_word(checked.elements, 0, limit), limit)
+    return checked.minimal and span == component
 
 
 def cmd_decompose(gens: GeneratorTuple, p: int = 0, verify: bool = False) -> dict:

@@ -13,9 +13,9 @@ below that gap, because the greedy adjoins gaps in strictly decreasing order
 and every integer above the gap ends up a member.
 
 The completion, ``intersect``, ``is_subsemigroup``, the uncovered-gap walk
-and the pruning read a table as a Python int "word" built by
-``symmetry._bits``: bit n is set iff n is a member (for a gap word, iff n is
-a gap).  Tables of unequal length are padded with member bytes first.
+and the pruning read a table as a Python int "word" built by ``core._bits``:
+bit n is set iff n is a member (for a gap word, iff n is a gap).  Tables of
+unequal length are padded with members first, by ``core._window``.
 """
 
 from __future__ import annotations
@@ -23,9 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, compress
 
-from .core import InternalConsistencyError, PSemigroup, ValidationError, validate_generators
-from .enumeration import _table_of, build_psemigroup
-from .symmetry import _FLIP, _bits, _pairs_exactly_one, pseudo_frobenius
+from .core import (
+    _FLIP, InternalConsistencyError, PSemigroup, ValidationError,
+    _bits, _least_positive, _table_of, _window, validate_generators,
+)
+from .enumeration import build_psemigroup
+from .symmetry import _pairs_exactly_one, pseudo_frobenius
 
 
 @dataclass(frozen=True)
@@ -52,28 +55,29 @@ class FiniteSemigroup:
         )
 
     @staticmethod
+    def from_word(word: int, length: int) -> "FiniteSemigroup":
+        """Members below ``length`` are the set bits of ``word``; the rest are all members."""
+        # bit ``length`` is a padding member, so the bytes cover every gap
+        # below it even when there is none; ``from_table`` strips it again
+        return FiniteSemigroup.from_table(_table_of(word & ~(-1 << length) | 1 << length))
+
+    @staticmethod
     def from_generators(gens: list[int] | tuple[int, ...]) -> "FiniteSemigroup":
         return FiniteSemigroup.from_psemigroup(
             build_psemigroup(validate_generators(list(gens)), 0)
         )
 
-    def contains(self, n: int) -> bool:
-        if n < 0:
-            return False
-        return n >= len(self.membership) or bool(self.membership[n])
+    contains = PSemigroup.contains
+    genus = PSemigroup.gap_count
 
     @property
     def frobenius(self) -> int:
         return len(self.membership) - 1
 
     @property
-    def genus(self) -> int:
-        return self.membership.count(0)
-
-    @property
     def multiplicity(self) -> int:
         """Least positive member (1 for the full monoid)."""
-        return (self.membership + b"\x01\x01").find(1, 1)
+        return _least_positive(self.membership)
 
     def special_gaps(self) -> list[int]:
         """Pseudo-Frobenius numbers whose double is a member; exactly the
@@ -83,14 +87,10 @@ class FiniteSemigroup:
         return [x for x in pseudo_frobenius(self) if self.contains(2 * x)]
 
 
-def _word(table: bytes, length: int) -> int:
-    """Members of ``table`` padded with members to ``length`` bytes, as a word."""
-    return _bits(table.ljust(length, b"\x01"))
-
-
 def is_subsemigroup(inner: FiniteSemigroup, outer: FiniteSemigroup) -> bool:
     length = max(len(inner.membership), len(outer.membership))
-    return _word(inner.membership, length) & ~_word(outer.membership, length) == 0
+    inner_word, outer_word = (_bits(_window(s.membership, 0, length)) for s in (inner, outer))
+    return inner_word & ~outer_word == 0
 
 
 def intersect(components: list[FiniteSemigroup]) -> FiniteSemigroup:
@@ -99,10 +99,8 @@ def intersect(components: list[FiniteSemigroup]) -> FiniteSemigroup:
     length = max(len(c.membership) for c in components)
     word = -1
     for component in components:
-        word &= _word(component.membership, length)
-    # bit ``length`` is a padding member, so the bytes cover the table even
-    # when it is empty; ``from_table`` strips it again
-    return FiniteSemigroup.from_table(_table_of(word | 1 << length))
+        word &= _bits(_window(component.membership, 0, length))
+    return FiniteSemigroup.from_word(word, length)
 
 
 def is_irreducible_classic(semigroup: FiniteSemigroup) -> bool:
@@ -189,11 +187,11 @@ def irreducible_decomposition(semigroup: FiniteSemigroup) -> list[FiniteSemigrou
         target = uncovered.bit_length() - 1
         component = irreducible_oversemigroup_avoiding(semigroup, target)
         components.append(component)
-        words.append(_word(component.membership, length))
+        words.append(_bits(_window(component.membership, 0, length)))
         uncovered &= words[-1]
     # suffix[i] is the AND of words[i:]; -1 (every bit set) for none
     suffix = list(accumulate(reversed(words), int.__and__, initial=-1))[::-1]
-    target_word = _word(semigroup.membership, length)
+    target_word = _bits(semigroup.membership)
     kept: list[FiniteSemigroup] = []
     kept_word = -1
     for i, (component, word) in enumerate(zip(components, words)):

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PSemigroup, ValidationError, _check_table_size
+from .core import _FLIP, PSemigroup, ValidationError, _check_table_size, _window
 from .closed_forms import _arith_apery
-from .symmetry import _FLIP
 
 
 @dataclass(frozen=True)
@@ -33,20 +32,16 @@ def _check_truncation(n: int) -> None:
     _check_table_size(n + 1, "the truncated series")
 
 
-def _window(semigroup: PSemigroup, truncation: int) -> bytes:
-    """Membership bytes for 0..truncation; every integer past the table is a member."""
-    _check_truncation(truncation)
-    return semigroup.membership[: truncation + 1].ljust(truncation + 1, b"\x01")
-
-
 def hilbert_direct(semigroup: PSemigroup, truncation: int) -> PowerSeries:
     """Membership indicator series straight from the table."""
-    return PowerSeries(tuple(_window(semigroup, truncation)))
+    _check_truncation(truncation)
+    return PowerSeries(tuple(_window(semigroup.membership, 0, truncation + 1)))
 
 
 def gaps_series(semigroup: PSemigroup, truncation: int) -> PowerSeries:
     """Indicator series of the non-members; complements hilbert_direct."""
-    return PowerSeries(tuple(_window(semigroup, truncation).translate(_FLIP)))
+    _check_truncation(truncation)
+    return PowerSeries(tuple(_window(semigroup.membership, 0, truncation + 1).translate(_FLIP)))
 
 
 def hilbert_from_apery(ap: tuple[int, ...], truncation: int) -> PowerSeries:

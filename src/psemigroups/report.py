@@ -20,7 +20,7 @@ from itertools import compress, repeat
 from math import prod
 from operator import add
 
-from .core import GeneratorTuple, InternalConsistencyError, PSemigroup, _check_table_size
+from .core import _FLIP, GeneratorTuple, InternalConsistencyError, PSemigroup, _check_table_size
 from .enumeration import (
     build_psemigroup,
     denumerant_oracle,
@@ -38,7 +38,6 @@ from .apery import (
     sylvester_sum_from_apery,
 )
 from .symmetry import (
-    _FLIP,
     classify,
     pf_via_apery_maximals,
     pf_via_gap_maximals,

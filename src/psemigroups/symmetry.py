@@ -13,25 +13,13 @@ some non-minimal generator tuples, where the gap count matches by accident.
 The window pairing and ``pseudo_frobenius`` read only ``membership``,
 ``frobenius`` and ``least_element``, so the ordinary semigroups of the
 decomposition (``FiniteSemigroup``, least element 0) run on them too.
-The package has one word format, bit n for integer n, shared by the
-membership build, ``pf_via_gap_maximals`` and every word of the
-decomposition; ``_bits`` turns bytes into such a word and
-``enumeration._table_of`` turns it back.
 """
 
 from __future__ import annotations
 
-from .core import InternalConsistencyError, PSemigroup, ValidationError
+from .core import _FLIP, InternalConsistencyError, PSemigroup, ValidationError, _bits, _window
 from .apery import apery_set
 from .enumeration import _positive_apery, gaps
-
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _bits(table: bytes) -> int:
-    """The table as a word: bit n is set iff ``table[n]`` is 1 (0 when empty)."""
-    return int(table[::-1].translate(_DIGITS), 2) if table else 0
 
 
 def _pairs_exactly_one(membership: bytes, total: int) -> bool:
@@ -40,7 +28,7 @@ def _pairs_exactly_one(membership: bytes, total: int) -> bool:
     ``membership`` tabulates 0..len - 1; every integer past it is a member.
     An integral midpoint pairs with itself and is exempt.
     """
-    window = membership[: total + 1].ljust(total + 1, b"\x01")
+    window = _window(membership, 0, total + 1)
     half = (total + 1) // 2
     return window[:half].translate(_FLIP) == window[::-1][:half]
 
@@ -107,7 +95,7 @@ def pseudo_frobenius(semigroup: PSemigroup) -> list[int]:
     table = semigroup.membership
     least = semigroup.least_element
     # least + t for 1 <= t <= g; the members past the table are padded in
-    above_least = table[least + 1 : least + g + 1].ljust(g, b"\x01")
+    above_least = _window(table, least + 1, least + g + 1)
     shifts = [t for t, member in enumerate(above_least, 1) if member]
     out = []
     for x in range(g + 1):
@@ -145,7 +133,7 @@ def pf_via_gap_maximals(semigroup: PSemigroup) -> list[int]:
     least = semigroup.least_element
     gap_word = _bits(table.translate(_FLIP))
     # bit t is set iff t >= 1 and least + t is a member; t > g never matters
-    shifts = _bits(table[least + 1 : least + g + 1].ljust(g, b"\x01")) << 1
+    shifts = _bits(_window(table, least + 1, least + g + 1)) << 1
     return [x for x in gaps(semigroup) if (gap_word >> x) & shifts == 0]
 
 
@@ -164,7 +152,7 @@ def pf_via_apery_maximals(semigroup: PSemigroup) -> list[int]:
     a = len(elements)
     least = semigroup.least_element
     top = elements[0] + least + 1
-    window = semigroup.membership[:top].ljust(top, b"\x01")
+    window = _window(semigroup.membership, 0, top)
     out = []
     for i, w in enumerate(elements):
         shift = least - w
@@ -198,7 +186,7 @@ def valuation_lengths_scan(semigroup: PSemigroup) -> tuple[int, int, int]:
     if semigroup.p < 1:
         raise ValidationError("valuation lengths are defined for p >= 1")
     total = semigroup.frobenius + semigroup.least_element
-    d3 = semigroup.membership[1 : total + 1].ljust(total, b"\x01").count(1)
+    d3 = _window(semigroup.membership, 1, total + 1).count(1)
     return (d3 + 1, total + 1, d3)
 
 

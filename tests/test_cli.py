@@ -614,6 +614,10 @@ def _flip_first_byte(membership: bytes) -> bytes:
     return bytes([1 - membership[0]]) + membership[1:]
 
 
+def _flip_bit_zero(word: int) -> int:
+    return word ^ 1
+
+
 @pytest.mark.parametrize(
     "module, name, corrupt, argv, where",
     [
@@ -629,7 +633,7 @@ def _flip_first_byte(membership: bytes) -> bytes:
         ("report", "lift_invariants", lambda t: (t[0] + 1, *t[1:]), "invariants", "p=1"),
         ("cli", "verify_decomposition", lambda ok: not ok, "decompose", "p=1"),
         ("cli", "minimal_generators_scan", lambda gens: gens[:-1], "decompose", "p=1"),
-        ("cli", "_table_of", _flip_first_byte, "decompose", "p=1"),
+        ("cli", "_member_word", _flip_bit_zero, "decompose", "p=1"),
     ],
 )
 def test_verify_cross_checks_exit_1_naming_gens_and_p(

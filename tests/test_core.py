@@ -1,4 +1,5 @@
 from functools import reduce
+from itertools import count
 from math import gcd
 
 import pytest
@@ -13,6 +14,9 @@ from psemigroups import (
     ValidationError,
     validate_generators,
 )
+from psemigroups.core import _bits, _least_per_class, _least_positive, _table_of, _window
+from psemigroups.decompose import FiniteSemigroup
+from psemigroups.enumeration import gaps
 
 
 def test_validate_paper_triple():
@@ -121,3 +125,48 @@ def test_minimality_table_is_capped(monkeypatch):
     with pytest.raises(TableLimitError):
         validate_generators([1001, 1002])
     assert validate_generators([1000, 1001]).minimal
+
+
+# Membership tables: byte n is 1 iff n is a member; every integer past the end is one.
+tables = st.lists(st.integers(0, 1), max_size=40).map(bytes)
+
+
+def _member(table: bytes, n: int) -> bool:
+    """The format's definition, one integer at a time."""
+    return n >= len(table) or table[n] == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables, start=st.integers(0, 45), stop=st.integers(0, 45))
+@example(table=b"", start=0, stop=3)
+@example(table=b"\x00\x00", start=5, stop=8)
+@example(table=b"\x01\x00\x00", start=2, stop=1)
+def test_window_pads_members_past_the_table(table, start, stop):
+    assert _window(table, start, stop) == bytes(_member(table, n) for n in range(start, stop))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables)
+@example(table=b"")
+@example(table=b"\x00" * 7)
+@example(table=b"\x01\x00\x00\x01")
+def test_table_searches_match_a_per_integer_search(table):
+    """Every modulus from 1 to len + 3, so some classes have no member in the table."""
+    for a in range(1, len(table) + 4):
+        expected = tuple(next(n for n in count(j, a) if _member(table, n)) for j in range(a))
+        assert _least_per_class(table, a) == expected
+    assert _least_positive(table) == next(n for n in count(1) if _member(table, n))
+    assert gaps(FiniteSemigroup.from_table(table)) == [
+        n for n in range(len(table)) if not _member(table, n)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables, high=st.integers(0, 5))
+def test_words_round_trip_through_tables(table, high):
+    """A word and a length make the canonical semigroup of the padded table."""
+    word = _bits(table)
+    assert _table_of(word | 1 << len(table))[: len(table)] == table
+    # bits at or past the length are ignored: those integers are members anyway
+    stray = (1 << high) - 1 << len(table)
+    assert FiniteSemigroup.from_word(word | stray, len(table)) == FiniteSemigroup.from_table(table)

@@ -23,7 +23,7 @@ from psemigroups import (
     validate_generators,
     verify_decomposition,
 )
-from psemigroups.symmetry import _FLIP, _bits
+from psemigroups.core import _FLIP, _bits
 
 # the two components printed for the p = 2 semigroup over {5, 9, 16}
 PAIR_A = sorted(set([41, 43, 45, 46, 48]) | set(range(50, 200)))

@@ -28,7 +28,8 @@ from psemigroups import enumeration
 from psemigroups.cli import main
 from psemigroups.decompose import FiniteSemigroup, irreducible_decomposition
 from psemigroups.enumeration import _count_table, embedding_dimension
-from psemigroups.symmetry import _bits
+from psemigroups.core import _bits
+from psemigroups.report import build_invariant_report
 
 T31017 = (3, 10, 17)
 
@@ -331,6 +332,26 @@ def test_embedding_dimension_memory_stays_below_the_table():
     finally:
         tracemalloc.stop()
     assert peak < len(S.membership)
+
+
+def test_report_memory_stays_a_few_tables():
+    """The report's gap-sum check streams the gaps instead of listing them.
+
+    The report holds a few table-length byte strings at once (the window
+    pairing, the padded Apery window, the bytes of the build): about 6.9x
+    len(membership) under tracemalloc.  Summing the gap check through the
+    list that ``gaps()`` returns peaks near 41x, one int object per gap.
+    """
+    raw, p = SCALE_CASE
+    gens = validate_generators(list(raw))
+    S = build_psemigroup(gens, p)
+    tracemalloc.start()
+    try:
+        build_invariant_report(gens, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * len(S.membership)
 
 
 def test_scale_case_table_limit(monkeypatch):

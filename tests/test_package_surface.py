@@ -2,7 +2,9 @@
 
 ``psemigroups.__all__`` must list exactly the public names ``__init__.py``
 binds, and no module may import a name it never uses, so that deleting a
-type leaves no stale export or import behind.
+type leaves no stale export or import behind.  ``core`` alone knows the
+membership-table format: no other module pads or translates a table itself,
+defines a format routine, or imports one from anywhere but ``core``.
 """
 
 import ast
@@ -55,3 +57,61 @@ def test_module_uses_every_name_it_imports(module):
     if module == "__init__.py":
         used |= set(psemigroups.__all__)  # re-exported, not used in place
     assert [(name, line) for name, line in _imports(tree) if name not in used] == []
+
+
+# The membership-table format: its translate tables and the routines that
+# turn, pad or search a table.  Only ``core`` may define them.
+FORMAT_NAMES = {
+    "_FLIP",
+    "_DIGITS",
+    "_FROM_DIGITS",
+    "_bits",
+    "_table_of",
+    "_window",
+    "_least_per_class",
+    "_least_positive",
+}
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "core.py"])
+def test_only_core_pads_or_translates_tables(module):
+    calls = [
+        (node.func.attr, node.lineno)
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("ljust", "maketrans")
+    ]
+    assert calls == []
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "core.py"])
+def test_only_core_defines_the_table_format(module):
+    tree = _tree(module)
+    defined = [
+        (node.name, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in FORMAT_NAMES
+    ] + [
+        (target.id, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in FORMAT_NAMES
+    ]
+    assert defined == []
+    # every format name a module uses comes straight from core
+    borrowed = [
+        (node.module, alias.name, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module != "core"
+        for alias in node.names
+        if alias.name in FORMAT_NAMES
+    ]
+    assert borrowed == []
+
+
+def test_hilbert_imports_nothing_from_symmetry():
+    tree = _tree("hilbert.py")
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "symmetry" not in modules
