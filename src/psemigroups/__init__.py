@@ -36,6 +36,7 @@ from .apery import (
     apery_set,
     bernoulli,
     frobenius_from_apery,
+    gap_power_sums,
     genus_from_apery,
     power_sum,
     sylvester_sum_from_apery,
@@ -106,6 +107,7 @@ __all__ = [
     "denumerant_oracle",
     "denumerant_table",
     "frobenius_from_apery",
+    "gap_power_sums",
     "gaps",
     "gaps_series",
     "gcd_reduce",

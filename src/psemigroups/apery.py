@@ -1,11 +1,12 @@
 """Apery sets and the invariants derived from them.
 
 The least member in each residue class modulo a generator determines the
-whole membership picture: Frobenius number, genus and arbitrary power sums
-of the gaps all follow from the Apery elements, via Bernoulli numbers for
-the general power sum.  Every division is exact-rational with a final
-integrality assertion; a non-integer outcome signals a bug, never a
-rounding decision.
+whole membership picture.  The Frobenius number is the largest Apery
+element less the modulus; the genus, the Sylvester sum and every power sum
+of the gaps are the entries of one Bernoulli expansion, ``gap_power_sums``,
+summed in integers over one common denominator.  Each entry ends in an
+integrality check: a non-integer outcome signals a bug, never a rounding
+decision.
 
 The formulas read an Apery tuple modulo any generator a, not only the
 least, and take a as the tuple's length: adding a generator never removes a
@@ -25,7 +26,6 @@ from .core import (
     NonIntegerResultError,
     PSemigroup,
     ValidationError,
-    _exact_int,
     _least_per_class,
 )
 
@@ -51,21 +51,13 @@ def frobenius_from_apery(ap: tuple[int, ...]) -> int:
 
 
 def genus_from_apery(ap: tuple[int, ...]) -> int:
-    """Gap count from the Apery element sum, for any generator modulus."""
-    a = len(ap)
-    value = Fraction(sum(ap), a) - Fraction(a - 1, 2)
-    return _exact_int(value, "genus")
+    """Gap count: entry 0 of ``gap_power_sums``, for any generator modulus."""
+    return gap_power_sums(ap, 0)[0]
 
 
 def sylvester_sum_from_apery(ap: tuple[int, ...]) -> int:
-    """Sum of all gaps from the first two Apery power sums, for any generator modulus."""
-    a = len(ap)
-    value = (
-        Fraction(sum(m * m for m in ap), 2 * a)
-        - Fraction(sum(ap), 2)
-        + Fraction(a * a - 1, 12)
-    )
-    return _exact_int(value, "sylvester sum")
+    """Sum of all gaps: entry 1 of ``gap_power_sums``, for any generator modulus."""
+    return gap_power_sums(ap, 1)[1]
 
 
 _BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
@@ -91,31 +83,36 @@ def bernoulli(n: int) -> Fraction:
         return _BERNOULLI_CACHE[n]
 
 
-def power_sum(semigroup: PSemigroup, mu: int) -> int:
-    """Exact sum of n**mu over all gaps, evaluated from the Apery set.
+def gap_power_sums(ap: tuple[int, ...], mu_max: int) -> list[int]:
+    """Sum of n**mu over the gaps for mu = 0..mu_max, from an Apery tuple.
 
-    Uses the Bernoulli-weighted expansion of the power sum; mu = 1 reduces
-    algebraically to the Sylvester sum formula.  The expansion is summed in
-    integers over the common denominator (mu+1) * a * lcm(den B_0..B_{mu+1}).
+    With a = len(ap) and P_j the sum of w**j over the tuple (P_0 = a), entry
+    mu is (sum_{k<=mu+1} C(mu+1, k) B_k a**(k-1) P_{mu+1-k} - B_{mu+1}) / (mu+1),
+    summed in integers over a * lcm(den B_0..B_{mu_max+1}).  The weights and
+    the P_j are computed once for all entries; entry 0 is the genus and entry
+    1 the Sylvester sum.
     """
-    if mu < 1:
-        raise ValidationError("power-sum exponent must be >= 1")
-    ap = apery_set(semigroup)
     a = len(ap)
-    numbers = [bernoulli(k) for k in range(mu + 2)]
+    numbers = [bernoulli(k) for k in range(mu_max + 2)]
     lcd = lcm(*[b.denominator for b in numbers])
     weights = [b.numerator * (lcd // b.denominator) for b in numbers]  # B_k * lcd
-    total = weights[mu + 1] * a * (a ** (mu + 1) - 1)
-    for k in range(mu + 1):
-        if weights[k]:
-            inner = sum(map(pow, ap, repeat(mu + 1 - k)))
-            total += comb(mu + 1, k) * weights[k] * a**k * inner
-    denominator = (mu + 1) * a * lcd
-    value, rest = divmod(total, denominator)
-    if rest:
-        raise NonIntegerResultError(
-            f"power sum (mu={mu}) evaluated to non-integer {Fraction(total, denominator)}"
-        )
-    if value < 0:
-        raise NonIntegerResultError(f"power sum (mu={mu}) evaluated negative: {value}")
-    return value
+    scaled = [w * a**k for k, w in enumerate(weights)]  # B_k * lcd * a**k
+    sums = [sum(map(pow, ap, repeat(j))) for j in range(mu_max + 2)]  # P_j
+    out = []
+    for n in range(1, mu_max + 2):  # n = mu + 1
+        total = sum(comb(n, k) * scaled[k] * sums[n - k] for k in range(n + 1))
+        total -= weights[n] * a
+        value, rest = divmod(total, n * a * lcd)
+        if rest or value < 0:
+            raise NonIntegerResultError(
+                f"gap power sum (mu={n - 1}) evaluated to {Fraction(total, n * a * lcd)}"
+            )
+        out.append(value)
+    return out
+
+
+def power_sum(semigroup: PSemigroup, mu: int) -> int:
+    """Exact sum of n**mu over all gaps, for mu >= 1: entry mu of ``gap_power_sums``."""
+    if mu < 1:
+        raise ValidationError("power-sum exponent must be >= 1")
+    return gap_power_sums(apery_set(semigroup), mu)[mu]

@@ -37,9 +37,10 @@ from .decompose import (
 from .report import build_invariant_report, check_denumerant, check_series
 
 SWEEP_RANGE_LIMIT = 10**4
-# power_sum's Bernoulli recurrence costs about 5x per doubling of mu and is
-# not bounded by PSG_MAX_TABLE.  At mu = 100, (90,150,211,269) with p = 20
-# takes about 0.2 s on a 2-vCPU Xeon VM; mu = 400 on (3,5) took 1.7 s.
+# The Bernoulli recurrence (once per process) and the gap_power_sums expansion
+# each cost about 4x per doubling of mu; PSG_MAX_TABLE does not bound them.
+# At mu = 100, (90,150,211,269) with p = 20 takes 0.11-0.18 s per process on a
+# 2-vCPU Xeon VM, about 0.05 s more than at mu = 0; (3,5) at mu = 400, 1 s.
 MU_LIMIT = 100
 
 

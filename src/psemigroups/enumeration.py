@@ -28,6 +28,7 @@ from .core import (
     TABLE_LIMIT_ENV, _FLIP, GeneratorTuple, PSemigroup, TableLimitError, ValidationError,
     _check_table_size, _least_per_class, _least_positive, _table_cap, _table_of, _window,
 )
+from .apery import apery_set
 
 
 def _count_table(gens: tuple[int, ...], limit: int) -> list[int]:
@@ -222,7 +223,7 @@ def gaps(semigroup: PSemigroup) -> list[int]:
 def _positive_apery(semigroup: PSemigroup) -> list[int]:
     """Least positive member per residue class mod a1 (a1 itself for class 0 when p = 0)."""
     a1 = semigroup.gens.least
-    return [m if m else a1 for m in semigroup.apery]
+    return [m if m else a1 for m in apery_set(semigroup)]
 
 
 def _generator_ranges(semigroup: PSemigroup) -> list[range]:

@@ -2,8 +2,9 @@
 
 The report always cross-checks the Apery-formula Frobenius number, genus
 and gap sum against the ones read off the membership bytes (cheap, and
-provably equal).  Tuple and bytes come from the same bit-plane build, so
-this checks the formulas, not the build; ``verify=True`` adds the heavier
+provably equal); genus and gap sum are entries 0 and 1 of the expansion that
+gives every power sum.  Tuple and bytes come from the same bit-plane build,
+so this checks the formulas, not the build; ``verify=True`` adds the heavier
 re-derivations, each sharing nothing with the planes: membership from the
 count table, the scanned minimal generators and valuation lengths,
 brute-force power sums over the gap list, three-way pseudo-Frobenius
@@ -30,13 +31,7 @@ from .enumeration import (
     minimal_generators,
     minimal_generators_scan,
 )
-from .apery import (
-    apery_set,
-    frobenius_from_apery,
-    genus_from_apery,
-    power_sum,
-    sylvester_sum_from_apery,
-)
+from .apery import apery_set, frobenius_from_apery, gap_power_sums, sylvester_sum_from_apery
 from .symmetry import (
     classify,
     pf_via_apery_maximals,
@@ -134,7 +129,7 @@ def _verify_extras(semigroup: PSemigroup, report: dict) -> None:
     if reduction.d > 1:
         r = build_psemigroup(reduction.reduced, p)
         lifted = lift_invariants(
-            reduction, r.frobenius, r.gap_count, sylvester_sum_from_apery(r.apery)
+            reduction, r.frobenius, r.gap_count, sylvester_sum_from_apery(apery_set(r))
         )
         if lifted != got:
             _mismatch("gcd-reduction lift", lifted, got, gens, p)
@@ -165,8 +160,8 @@ def build_invariant_report(
     ap = apery_set(semigroup)
     table = semigroup.membership
     frob = frobenius_from_apery(ap)
-    genus = genus_from_apery(ap)
-    sylvester = sylvester_sum_from_apery(ap)
+    sums = gap_power_sums(ap, max(mu_max, 1))
+    genus, sylvester = sums[0], sums[1]
     enum_frob = table.rfind(0)
     if frob != semigroup.frobenius or frob != enum_frob:
         _mismatch("frobenius", frob, enum_frob, gens, p)
@@ -176,7 +171,7 @@ def build_invariant_report(
     gap_sum = sum(compress(range(len(table)), table.translate(_FLIP)))
     if sylvester != gap_sum:
         _mismatch("sylvester sum", sylvester, gap_sum, gens, p)
-    power_sums = {mu: power_sum(semigroup, mu) for mu in range(1, mu_max + 1)}
+    power_sums = {mu: sums[mu] for mu in range(1, mu_max + 1)}
     pf = pf_via_apery_maximals(semigroup)
     valuation = (
         dict(zip(("d1", "d2", "d3"), valuation_lengths(semigroup))) if p >= 1 else None

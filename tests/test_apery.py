@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from psemigroups import (
     ModulusNotGeneratorError,
+    NonIntegerResultError,
     ValidationError,
     apery_set,
     bernoulli,
     build_psemigroup,
     frobenius_from_apery,
+    gap_power_sums,
     gaps,
     genus_from_apery,
     hilbert_direct,
@@ -73,6 +75,7 @@ def test_apery_formulas_hold_for_every_generator_modulus(build):
                 assert genus_from_apery(ap) == len(gap_list)
                 assert sylvester_sum_from_apery(ap) == sum(gap_list)
                 assert hilbert_from_apery(ap, n) == hilbert_direct(S, n)
+                assert gap_power_sums(ap, 3) == [sum(g**mu for g in gap_list) for mu in range(4)]
 
 
 def test_frobenius_examples(build):
@@ -115,6 +118,12 @@ def test_apery_formulas_match_gaps_everywhere(build):
             assert sylvester_sum_from_apery(ap) == sum(gap_list)
             for mu in (1, 2, 3):
                 assert power_sum(S, mu) == sum(n**mu for n in gap_list)
+
+
+def test_gap_power_sums_reject_a_tuple_that_is_no_apery_set():
+    # (0, 2) modulo 2 would give genus 2/2 - 1/2 = 1/2
+    with pytest.raises(NonIntegerResultError, match="mu=0"):
+        gap_power_sums((0, 2), 1)
 
 
 def test_power_sum_mu1_is_sylvester(build):

@@ -5,6 +5,7 @@ binds, and no module may import a name it never uses, so that deleting a
 type leaves no stale export or import behind.  ``core`` alone knows the
 membership-table format: no other module pads or translates a table itself,
 defines a format routine, or imports one from anywhere but ``core``.
+``apery_set`` alone reads the Apery tuple a ``PSemigroup`` was built with.
 """
 
 import ast
@@ -115,3 +116,14 @@ def test_hilbert_imports_nothing_from_symmetry():
     tree = _tree("hilbert.py")
     modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "symmetry" not in modules
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "apery.py"])
+def test_only_apery_reads_the_built_apery_tuple(module):
+    # the build's ``apery=`` keyword stores the tuple; it is not a read
+    reads = [
+        node.lineno
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.Attribute) and node.attr == "apery"
+    ]
+    assert reads == []
