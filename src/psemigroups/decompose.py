@@ -5,23 +5,21 @@ Frobenius number, so structural equality and hashing just work.  It reads
 like a ``PSemigroup`` whose least element is 0, so gaps, pseudo-Frobenius
 numbers, the window pairing and the minimal-generator scan are the shared
 functions of ``enumeration`` and ``symmetry``.  The decomposition walks the
-uncovered gaps from the top: for each one it greedily completes the
-semigroup to an irreducible oversemigroup avoiding that gap (keep adjoining
-other special gaps until none remain, which pins the Frobenius number there
-and forces maximality).  The completion is one downward scan over the gaps
-below that gap, because the greedy adjoins gaps in strictly decreasing order
-and every integer above the gap ends up a member.
+uncovered gaps from the top: for each one it completes the semigroup to an
+irreducible oversemigroup avoiding that gap, in closed form (the members
+below the gap, the upper-half integers whose partner below the gap is not a
+member, everything above it).  Each component is the only one that excludes
+its own gap, so no component is redundant.
 
-The completion, ``intersect``, ``is_subsemigroup``, the uncovered-gap walk
-and the pruning read a table as a Python int "word" built by ``core._bits``:
-bit n is set iff n is a member (for a gap word, iff n is a gap).  Tables of
-unequal length are padded with members first, by ``core._window``.
+The completion, ``intersect``, ``is_subsemigroup`` and the uncovered-gap
+walk read a table as a Python int "word" built by ``core._bits``: bit n is
+set iff n is a member (for a gap word, iff n is a gap).  Tables of unequal
+length are padded with members first, by ``core._window``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, compress
 
 from .core import (
     _FLIP, InternalConsistencyError, PSemigroup, ValidationError,
@@ -82,8 +80,8 @@ class FiniteSemigroup:
     def special_gaps(self) -> list[int]:
         """Pseudo-Frobenius numbers whose double is a member; exactly the
         gaps whose adjunction keeps the set additively closed.  The
-        completion finds them in its own scan; tests use this definition as
-        its oracle."""
+        completion's closed form needs none of them; the tests' greedy
+        completion, which adjoins them one at a time, is its oracle."""
         return [x for x in pseudo_frobenius(self) if self.contains(2 * x)]
 
 
@@ -122,42 +120,37 @@ def is_irreducible_shifted(semigroup: FiniteSemigroup) -> bool:
 def irreducible_oversemigroup_avoiding(
     semigroup: FiniteSemigroup, gap: int
 ) -> FiniteSemigroup:
-    """Greedy completion to an irreducible oversemigroup with Frobenius ``gap``.
+    """The irreducible oversemigroup of S = ``semigroup`` with Frobenius
+    ``gap`` that agrees with S below ``gap``/2.
 
-    Adjoining the largest special gap other than ``gap`` until none remain
-    yields a semigroup maximal among those avoiding ``gap``; its special-gap
-    set is then {gap}, which characterizes irreducibility.
+    Writing g for ``gap``, it is
 
-    The greedy adjoins in strictly decreasing order, so one downward scan
-    does it.  Lemma: for a gap h of S, PF(S ∪ {h}) ⊆ PF(S) ∪ {h - s : s ∈ S,
-    s > 0} (if y is pseudo-Frobenius in S ∪ {h} but not in S, some positive
-    s ∈ S has y + s ∉ S, yet y + s ∈ S ∪ {h}, so y = h - s).  A gap y > h
-    that is pseudo-Frobenius in S ∪ {h} is therefore pseudo-Frobenius in S,
-    and 2y > h is a member of S ∪ {h} iff it is one of S; so after h =
-    max(SG(S) minus ``gap``) is adjoined, every special gap above h is
-    ``gap``.  Scanning x downward, x is adjoined iff it is a special gap of
-    the current semigroup: a gap, not ``gap``, with 2x a member, and no
-    positive member s with x + s a gap, i.e. the gap word shifted down by x
-    shares no bit with the positive-member word.  Every gap above ``gap`` is
-    adjoined (the Frobenius number is always special, and the result's only
-    special gap is ``gap``), so the scan starts from the table cut there.
+        T = S ∪ {x : g/2 < x < g, g - x ∉ S} ∪ {x > g},
+
+    one word op over the table cut at g and its reversal.
+
+    - T is additively closed.  A sum above g is in T.  Two added upper-half
+      elements sum above g.  For s ∈ S positive and x added: if s + x = g or
+      s + x < g with g - s - x ∈ S, then g - x ∈ S, which x excludes.
+    - T pairs exactly one of x and g - x for every x ≠ g/2: below g/2, T
+      agrees with S, and the partner above g/2 is added iff x ∉ S.  The
+      midpoint g/2 is never a member, since g is not.  So T is symmetric or
+      pseudo-symmetric, hence maximal among semigroups avoiding g: any
+      x ∉ T below g would bring its partner g - x ∈ T, and so g.
+    - T equals the greedy completion (adjoin the largest special gap other
+      than g until none remain).  It adjoins every gap above g first, the
+      Frobenius number being always special; then, by induction from the
+      top, an upper-half x exactly when g - x ∉ S.  Its result therefore
+      contains T and avoids g, and by maximality equals T.
     """
     if gap < 0:
         raise ValidationError(f"{gap} is negative, not a gap")
     if semigroup.contains(gap):
         raise ValidationError(f"{gap} is a member, cannot be avoided")
-    table = bytearray(semigroup.membership[: gap + 1])
-    flipped = table.translate(_FLIP)
-    gap_word = _bits(flipped)
-    positive_word = _bits(table) & ~1
-    for x in reversed(list(compress(range(gap), flipped))):
-        if 2 * x <= gap and not table[2 * x]:
-            continue
-        if (gap_word >> x) & positive_word == 0:
-            table[x] = 1
-            gap_word ^= 1 << x
-            positive_word |= 1 << x
-    current = FiniteSemigroup.from_table(table)
+    below = semigroup.membership[: gap + 1]
+    upper = -1 << (gap // 2 + 1)
+    # bit x of the reversed word is set iff gap - x is a member
+    current = FiniteSemigroup.from_word(_bits(below) | upper & ~_bits(below[::-1]), gap + 1)
     # a completion holding its gap would never cover it in the decomposition walk
     if current.contains(gap) or not is_irreducible_classic(current):
         raise InternalConsistencyError(
@@ -169,38 +162,25 @@ def irreducible_oversemigroup_avoiding(
 def irreducible_decomposition(semigroup: FiniteSemigroup) -> list[FiniteSemigroup]:
     """Irreducible oversemigroups whose intersection is the input.
 
-    Walks uncovered gaps from the largest down, excludes each by a greedy
-    irreducible completion, then prunes components whose removal keeps the
-    intersection exact.  A component is dropped when the components kept so
-    far and those after it, not yet examined, still intersect to the input;
-    the later ones enter as one precomputed suffix AND of words.  The result
-    is non-redundant, not guaranteed globally minimal.
+    Walks the uncovered gaps from the largest down and excludes each by its
+    irreducible completion.  No component is redundant: the component for
+    target t has Frobenius number t.  Later components have smaller
+    Frobenius numbers, so they contain t; earlier ones contain t, because t
+    was still uncovered.  So each component is the only one that excludes
+    its target.  An irreducible input is maximal among the semigroups
+    avoiding its Frobenius number, so it is its own single completion.  The
+    result is irredundant, not guaranteed globally minimal.
     """
-    if is_irreducible_classic(semigroup):
-        return [semigroup]
     length = len(semigroup.membership)
     components: list[FiniteSemigroup] = []
-    words: list[int] = []
     # gaps of the input that no component excludes yet
     uncovered = _bits(semigroup.membership.translate(_FLIP))
     while uncovered:
         target = uncovered.bit_length() - 1
         component = irreducible_oversemigroup_avoiding(semigroup, target)
         components.append(component)
-        words.append(_bits(_window(component.membership, 0, length)))
-        uncovered &= words[-1]
-    # suffix[i] is the AND of words[i:]; -1 (every bit set) for none
-    suffix = list(accumulate(reversed(words), int.__and__, initial=-1))[::-1]
-    target_word = _bits(semigroup.membership)
-    kept: list[FiniteSemigroup] = []
-    kept_word = -1
-    for i, (component, word) in enumerate(zip(components, words)):
-        others = len(kept) + len(components) - i - 1
-        if others and kept_word & suffix[i + 1] == target_word:
-            continue
-        kept.append(component)
-        kept_word &= word
-    return kept
+        uncovered &= _bits(_window(component.membership, 0, length))
+    return components
 
 
 def verify_decomposition(

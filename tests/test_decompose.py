@@ -230,12 +230,32 @@ def test_shared_functions_on_decomposition_semigroups(case):
 @example(((3, 5), 0))
 # the multiplicity 15 exceeds every target from 1 to 14
 @example(((3, 5), 1))
+# the first target 22 is even and its midpoint 11 is a gap of the input
+@example(((5, 7, 9), 1))
+# the first target 9 is odd: no midpoint, every x below it has a distinct partner
+@example(((5, 6, 8), 0))
 def test_completion_and_pruning_match_the_definitional_oracles(case):
     gens, p = case
     T = FiniteSemigroup.from_psemigroup(build_psemigroup(validate_generators(gens), p))
     for f in gaps(T):
         assert irreducible_oversemigroup_avoiding(T, f) == _completion_oracle(T, f)
     assert irreducible_decomposition(T) == _decomposition_oracle(T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_cases)
+@example(((5, 9, 16), 2))
+def test_each_component_alone_excludes_its_frobenius_number(case):
+    gens, p = case
+    T = FiniteSemigroup.from_psemigroup(build_psemigroup(validate_generators(gens), p))
+    components = irreducible_decomposition(T)
+    targets = [C.frobenius for C in components]
+    assert len(set(targets)) == len(targets)
+    assert set(targets) <= set(gaps(T))
+    for i, target in enumerate(targets):
+        rest = components[:i] + components[i + 1 :]
+        assert all(C.contains(target) for C in rest)
+        assert not rest or intersect(rest) != T
 
 
 tables = st.lists(st.booleans(), max_size=40).map(
