@@ -166,7 +166,8 @@ def cmd_decompose(gens: GeneratorTuple, p: int = 0, verify: bool = False) -> dic
                 "generators": generators,
                 "frobenius": component.frobenius,
                 "genus": component.genus,
-                # every component passed the pairing check inside its completion
+                # every component passed the pairing check inside its completion,
+                # except the full monoid, which has no gap and pairs vacuously
                 "irreducible": True,
             }
             for generators, component in zip(listed, components)

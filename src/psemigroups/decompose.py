@@ -167,8 +167,10 @@ def irreducible_decomposition(semigroup: FiniteSemigroup) -> list[FiniteSemigrou
     target t has Frobenius number t.  Later components have smaller
     Frobenius numbers, so they contain t; earlier ones contain t, because t
     was still uncovered.  So each component is the only one that excludes
-    its target.  An irreducible input is maximal among the semigroups
-    avoiding its Frobenius number, so it is its own single completion.  The
+    its target.  An irreducible input with a gap is maximal among the
+    semigroups avoiding its Frobenius number, so it is its own single
+    completion.  The full monoid is the only input without a gap: the walk
+    finds no target and it is returned as its own single component.  The
     result is irredundant, not guaranteed globally minimal.
     """
     length = len(semigroup.membership)
@@ -180,7 +182,7 @@ def irreducible_decomposition(semigroup: FiniteSemigroup) -> list[FiniteSemigrou
         component = irreducible_oversemigroup_avoiding(semigroup, target)
         components.append(component)
         uncovered &= _bits(_window(component.membership, 0, length))
-    return components
+    return components or [semigroup]
 
 
 def verify_decomposition(

@@ -163,6 +163,16 @@ def test_decompose_cli(capsys):
     assert all(entry["irreducible"] for entry in data["components"])
 
 
+def test_decompose_of_the_full_monoid_is_itself(capsys):
+    code, out, _ = run(capsys, ["decompose", "--gens", "1,2", "--json", "--verify"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["count"] == 1
+    assert data["components"] == [
+        {"generators": [1], "frobenius": -1, "genus": 0, "irreducible": True}
+    ]
+
+
 def test_hilbert_default_truncation(capsys):
     code, out, _ = run(capsys, ["hilbert", "--gens", "4,5,6", "-p", "8", "--json", "--verify"])
     assert code == 0
