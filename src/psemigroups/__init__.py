@@ -30,6 +30,7 @@ from .enumeration import (
     gaps,
     membership_oracle,
     minimal_generators,
+    minimal_generators_min_plus,
     minimal_generators_scan,
 )
 from .apery import (
@@ -126,6 +127,7 @@ __all__ = [
     "lift_invariants",
     "membership_oracle",
     "minimal_generators",
+    "minimal_generators_min_plus",
     "minimal_generators_scan",
     "pf_via_apery_maximals",
     "pf_via_gap_maximals",

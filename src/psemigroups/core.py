@@ -96,6 +96,17 @@ def _check_table_size(entries: int, what: str) -> None:
         )
 
 
+def _check_work(steps: int, table: bytes, what: str) -> None:
+    """Reject an oracle of ``steps`` steps over ``table`` that the size cap does not allow.
+
+    No more steps than the table has entries is no more than building the
+    table took, which the cap already allowed, so those skip the check and
+    its read of the environment, a sizeable share of a small oracle's time.
+    """
+    if steps > len(table):
+        _check_table_size(steps, what)
+
+
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -244,3 +255,8 @@ class PSemigroup:
     @property
     def gap_count(self) -> int:
         return self.membership.count(0)
+
+    @property
+    def modulus(self) -> int:
+        """a1 = min(gens): adding it maps members to members."""
+        return self.gens.least

@@ -77,6 +77,9 @@ class FiniteSemigroup:
         """Least positive member (1 for the full monoid)."""
         return _least_positive(self.membership)
 
+    # adding it maps members to members, the role a1 plays for a PSemigroup
+    modulus = multiplicity
+
     def special_gaps(self) -> list[int]:
         """Pseudo-Frobenius numbers whose double is a member; exactly the
         gaps whose adjunction keeps the set additively closed.  The

@@ -13,15 +13,16 @@ of each class mod a1: about a1 / 2 shift-ORs of words of at most width
 bits, where width is one more than the spread of those members.  The
 coin-counting table survives as the denumerant evaluator and, run up to the
 frontier, as the membership oracle for tests and ``--verify``; it shares
-nothing with the planes.  The definitional minimal-generator scan is kept as
-an oracle the same way: it reads the membership bytes and shares no kernel
-with the sumset.  It also serves the decomposition components, which carry
-no Apery tuple.
+nothing with the planes.  The minimal generators have two oracles, each
+sharing no kernel with the sumset: the definitional scan, which reads the
+membership bytes and also serves the decomposition components (they carry
+no Apery tuple), and the a1 x a1 min-plus square of the least positive
+members per class, whose cost does not grow with the Frobenius number.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from math import factorial, prod
 
 from .core import (
@@ -275,6 +276,39 @@ def minimal_generators(semigroup: PSemigroup) -> list[int]:
 def embedding_dimension(semigroup: PSemigroup) -> int:
     """The number of minimal generators, counted without listing them."""
     return sum(map(len, _generator_ranges(semigroup)))
+
+
+def _min_plus_ranges(semigroup: PSemigroup) -> list[range]:
+    """The ranges of ``_generator_ranges``, bounded by the min-plus square.
+
+    The bound of class r is the least pos[i] + pos[j] with i + j = r mod
+    a1, pos the least positive member per class.  Entry s of ``least``
+    holds that min over the pairs i <= j with i + j = s, before the
+    reduction mod a1; entry 2 * a1 - 1 has no pair and keeps the bound
+    2 * max(pos).  A plain double loop: one ``min`` call per pair costs
+    about three times as much.
+    """
+    pos = _positive_apery(semigroup)
+    a1 = len(pos)
+    least = [2 * max(pos)] * (2 * a1)
+    for i, m in enumerate(pos):
+        s = 2 * i
+        for n in pos[i:]:
+            n += m
+            if n < least[s]:
+                least[s] = n
+            s += 1
+    return list(map(range, pos, map(min, least[:a1], least[a1:]), repeat(a1)))
+
+
+def minimal_generators_min_plus(semigroup: PSemigroup) -> list[int]:
+    """Oracle for ``minimal_generators``: class bounds from the min-plus square.
+
+    About a1**2 / 2 additions in place of the sumset word.  It reads the
+    Apery tuple, not the membership bytes, and its cost does not grow with
+    the Frobenius number.
+    """
+    return sorted(chain.from_iterable(_min_plus_ranges(semigroup)))
 
 
 def minimal_generators_scan(semigroup: PSemigroup) -> list[int]:

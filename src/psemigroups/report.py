@@ -6,22 +6,27 @@ provably equal); genus and gap sum are entries 0 and 1 of the expansion that
 gives every power sum.  Tuple and bytes come from the same bit-plane build,
 so this checks the formulas, not the build; ``verify=True`` adds the heavier
 re-derivations, each sharing nothing with the planes: membership from the
-count table, the scanned minimal generators and valuation lengths,
-brute-force power sums over the gap list, three-way pseudo-Frobenius
+count table, the minimal generators from the cheaper of the min-plus square
+and the scan, the scanned valuation lengths, brute-force power sums over the
+gap list (one running product per exponent), three-way pseudo-Frobenius
 agreement, the Hilbert factorization identity, the gcd-reduction lift of a
 separately built reduced tuple, and the matching closed forms when the
-generator tuple has one.  ``check_series`` and ``check_denumerant`` are the
-checks the ``hilbert``, ``membership`` and ``denumerant`` commands share
-with it.
+generator tuple has one.  Each oracle whose work can outgrow the membership
+table has it estimated and checked against the size cap before it runs.
+``check_series`` and ``check_denumerant`` are the checks the ``hilbert``,
+``membership`` and ``denumerant`` commands share with it.
 """
 
 from __future__ import annotations
 
 from itertools import compress, repeat
 from math import prod
-from operator import add
+from operator import add, mul
 
-from .core import _FLIP, GeneratorTuple, InternalConsistencyError, PSemigroup, _check_table_size
+from .core import (
+    _FLIP, GeneratorTuple, InternalConsistencyError, PSemigroup,
+    _check_table_size, _check_work, _least_positive,
+)
 from .enumeration import (
     build_psemigroup,
     denumerant_oracle,
@@ -29,6 +34,7 @@ from .enumeration import (
     gaps,
     membership_oracle,
     minimal_generators,
+    minimal_generators_min_plus,
     minimal_generators_scan,
 )
 from .apery import apery_set, frobenius_from_apery, gap_power_sums, sylvester_sum_from_apery
@@ -65,6 +71,8 @@ def check_series(semigroup: PSemigroup, direct: PowerSeries, psi: PowerSeries) -
     ``psi`` the all-ones series, all up to the truncation of ``direct``.
     """
     gens, p = semigroup.gens, semigroup.p
+    # the count table adds up to ``frontier`` entries once per generator
+    _check_table_size(semigroup.frontier * len(gens), "the count-table membership oracle")
     if membership_oracle(gens, p, semigroup.frontier) != semigroup.membership:
         _mismatch("membership", "Apery tuple", "count table", gens, p)
     if hilbert_from_apery(apery_set(semigroup), direct.truncation) != direct:
@@ -93,21 +101,44 @@ def check_denumerant(gens: GeneratorTuple, n: int, count: int, p: int | None = N
             _mismatch(f"membership of {n}", closed, count > p, gens, p)
 
 
+def _generator_oracle(semigroup: PSemigroup, dimension: int) -> list[int]:
+    """The cheaper minimal-generator oracle for ``semigroup``, within the size cap.
+
+    The min-plus costs a1**2.  The scan walks, for each minimal generator m,
+    the members from mu (the least positive member) up to m / 2 <= (F + mu)
+    / 2, and stops early on every other member, so its estimate is
+    ``dimension`` (the report's embedding dimension) times the members in
+    [mu, (F + mu) / 2].
+    """
+    a1 = semigroup.gens.least
+    table = semigroup.membership
+    mu = _least_positive(table)
+    scan = dimension * table[mu : (semigroup.frobenius + mu) // 2 + 1].count(1)
+    if a1 * a1 < scan:
+        _check_work(a1 * a1, table, "the min-plus generator oracle")
+        return minimal_generators_min_plus(semigroup)
+    _check_work(scan, table, "the minimal-generator scan")
+    return minimal_generators_scan(semigroup)
+
+
 def _verify_extras(semigroup: PSemigroup, report: dict) -> None:
     gens, p = semigroup.gens, semigroup.p
-    fast, scanned = minimal_generators(semigroup), minimal_generators_scan(semigroup)
-    if fast != scanned:
-        _mismatch("minimal generators", fast, scanned, gens, p)
-    if report["embedding_dimension"] != len(scanned):
-        _mismatch("embedding dimension", report["embedding_dimension"], len(scanned), gens, p)
+    dimension = report["embedding_dimension"]
+    fast, oracle = minimal_generators(semigroup), _generator_oracle(semigroup, dimension)
+    if fast != oracle:
+        _mismatch("minimal generators", fast, oracle, gens, p)
+    if dimension != len(oracle):
+        _mismatch("embedding dimension", dimension, len(oracle), gens, p)
     if p >= 1:
         valuation = tuple(report["valuation"].values())
         scanned = valuation_lengths_scan(semigroup)
         if valuation != scanned:
             _mismatch("valuation lengths", valuation, scanned, gens, p)
     gap_list = gaps(semigroup)
-    for mu, value in report["power_sums"].items():
-        brute = sum(map(pow, gap_list, repeat(mu)))
+    powers = repeat(1)
+    for mu, value in report["power_sums"].items():  # mu = 1, 2, ...
+        powers = list(map(mul, powers, gap_list))
+        brute = sum(powers)
         if value != brute:
             _mismatch(f"power sum mu={mu}", value, brute, gens, p)
     pf = report["pf"]

@@ -10,16 +10,32 @@ refuses to answer if they disagree.  The genus identity implied by the
 pairing is asserted in the forward direction only: its converse fails for
 some non-minimal generator tuples, where the gap count matches by accident.
 
-The window pairing and ``pseudo_frobenius`` read only ``membership``,
-``frobenius`` and ``least_element``, so the ordinary semigroups of the
-decomposition (``FiniteSemigroup``, least element 0) run on them too.
+The pseudo-Frobenius numbers are the maximal gaps under x <= y iff y - x
+is 0 or a positive shifted member t (least + t a member).  Let t =
+``semigroup.modulus``: a1 for a p-semigroup, where adding a1 to each
+representation of n gives distinct representations of n + a1, and the
+multiplicity of an ordinary semigroup, by closure.  Either way S + t lies in
+S, and least + t is a member, so t is a positive shift.  A
+pseudo-Frobenius number x therefore has x + t inside, hence every x + kt
+inside: it is the top gap of its class modulo t.  The two gap-based oracles
+test just these candidates, at most t of them, found by one word AND.
+
+The window pairing and the two gap-based oracles read only ``membership``,
+``frobenius``, ``least_element`` and ``modulus``, so the ordinary
+semigroups of the decomposition (``FiniteSemigroup``, least element 0,
+modulus its multiplicity) run on them too.
 """
 
 from __future__ import annotations
 
-from .core import _FLIP, InternalConsistencyError, PSemigroup, ValidationError, _bits, _window
+from itertools import compress, count
+
+from .core import (
+    _FLIP, InternalConsistencyError, PSemigroup, ValidationError,
+    _bits, _check_work, _least_per_class, _table_of, _window,
+)
 from .apery import apery_set
-from .enumeration import _positive_apery, gaps
+from .enumeration import _positive_apery
 
 
 def _pairs_exactly_one(membership: bytes, total: int) -> bool:
@@ -83,24 +99,42 @@ def is_p_completely_symmetric(semigroup: PSemigroup) -> bool:
     return classify(semigroup)["completely_symmetric"]
 
 
+def _pf_candidates(semigroup: PSemigroup, gap_word: int) -> list[int]:
+    """The gaps x with x + t a member, t = ``semigroup.modulus``, ascending.
+
+    Every pseudo-Frobenius number is one (module docstring), and each is
+    the top gap of its class modulo t, so there are at most t.  ``gap_word``
+    has bit x set iff x is a gap; the AND keeps those whose bit x + t is a
+    member, read from the table shifted down by t and padded with members.
+    """
+    table = semigroup.membership
+    t = semigroup.modulus
+    word = gap_word & _bits(_window(table, t, t + semigroup.frobenius + 1))
+    return list(compress(count(), _table_of(word)))
+
+
 def pseudo_frobenius(semigroup: PSemigroup) -> list[int]:
     """Non-members x with x + t inside for every positive shifted member t.
 
-    Only shifts t <= frobenius - x matter; larger ones land past the
-    Frobenius number automatically.
+    Only the candidates of ``_pf_candidates`` are tested, and for each only
+    the least shift t of every class modulo ``modulus``: t + k * modulus is
+    a shift too, and x + t inside puts x + t + k * modulus inside.  Shifts
+    t > frobenius - x land past the Frobenius number and never matter.  The
+    work, candidates times those shifts (at most modulus**2), is checked
+    against the size cap first.
     """
     g = semigroup.frobenius
-    if g < 0:
-        return []
     table = semigroup.membership
     least = semigroup.least_element
-    # least + t for 1 <= t <= g; the members past the table are padded in
+    candidates = _pf_candidates(semigroup, _bits(table.translate(_FLIP)))
+    # byte t - 1 is least + t for 1 <= t <= g; members past the table padded in
     above_least = _window(table, least + 1, least + g + 1)
-    shifts = [t for t, member in enumerate(above_least, 1) if member]
+    shifts = sorted(i + 1 for i in _least_per_class(above_least, semigroup.modulus) if i < g)
+    _check_work(
+        len(candidates) * len(shifts), table, "the definitional pseudo-Frobenius oracle"
+    )
     out = []
-    for x in range(g + 1):
-        if table[x]:
-            continue
+    for x in candidates:
         ok = True
         for t in shifts:
             if t > g - x:
@@ -116,25 +150,31 @@ def pseudo_frobenius(semigroup: PSemigroup) -> list[int]:
 def pf_via_gap_maximals(semigroup: PSemigroup) -> list[int]:
     """Maximal gaps under x <= y iff y - x is 0 or a positive shifted member.
 
-    One shift-AND per gap on bit-per-integer words: x is dominated iff some
-    gap x + t, t >= 1, has least + t a member, i.e. the gap word shifted
-    down by x meets the word of those shifts t.  That is genus shift-ANDs of
-    F-bit integers, run in C, against genus^2 ``contains`` calls for the
-    pairwise definition.  The words come from ``_bits``, the builder that
-    every word of the decomposition shares.  ``pseudo_frobenius`` (the
-    per-integer definition) and ``pf_via_apery_maximals`` (the Apery tuple)
-    share no kernel with it, so the three-way ``--verify`` check keeps two
-    witnesses independent of the word form.  All three read the bytes and
-    tuple of one bit-plane build (``enumeration._member_word``), whose own
-    witness is the count table of ``membership_oracle``.
+    One shift-AND per candidate on bit-per-integer words: x is dominated iff
+    some gap x + t, t >= 1, has least + t a member, i.e. the gap word
+    shifted down by x meets the word of those shifts t.  Only the at most
+    ``modulus`` candidates of ``_pf_candidates`` are tested, so the work is
+    candidates times the words of an F-bit integer, run in C and checked
+    against the size cap first.  The words come from ``_bits``, the builder
+    that every word of the decomposition shares.  ``pseudo_frobenius`` (the
+    per-integer definition) shares only the candidate filter with it, whose
+    proof is in the module docstring and whose output the tests check
+    against an unfiltered scan; ``pf_via_apery_maximals`` (the Apery tuple)
+    shares no kernel with either, so the three-way ``--verify`` check keeps
+    two witnesses independent of the shift-AND and one independent of the
+    filter.  All three read the bytes and tuple of one bit-plane build
+    (``enumeration._member_word``), whose own witness is the count table of
+    ``membership_oracle``.
     """
     g = semigroup.frobenius
     table = semigroup.membership
     least = semigroup.least_element
     gap_word = _bits(table.translate(_FLIP))
+    candidates = _pf_candidates(semigroup, gap_word)
+    _check_work(len(candidates) * (g // 64 + 1), table, "the gap pseudo-Frobenius oracle")
     # bit t is set iff t >= 1 and least + t is a member; t > g never matters
     shifts = _bits(_window(table, least + 1, least + g + 1)) << 1
-    return [x for x in gaps(semigroup) if (gap_word >> x) & shifts == 0]
+    return [x for x in candidates if (gap_word >> x) & shifts == 0]
 
 
 def pf_via_apery_maximals(semigroup: PSemigroup) -> list[int]:

@@ -640,6 +640,7 @@ def _flip_bit_zero(word: int) -> int:
         ("report", "two_var_membership", lambda member: not member, "membership -n 43", "p=1"),
         ("report", "pf_via_gap_maximals", lambda pf: pf[:-1], "invariants", "p=1"),
         ("report", "pseudo_frobenius", lambda pf: pf[:-1], "invariants", "p=1"),
+        ("report", "minimal_generators_min_plus", lambda gens: gens[:-1], "invariants", "p=1"),
         ("report", "lift_invariants", lambda t: (t[0] + 1, *t[1:]), "invariants", "p=1"),
         ("cli", "verify_decomposition", lambda ok: not ok, "decompose", "p=1"),
         ("cli", "minimal_generators_scan", lambda gens: gens[:-1], "decompose", "p=1"),
@@ -662,6 +663,49 @@ def test_verify_cross_checks_exit_1_naming_gens_and_p(
     code, out, err = run(capsys, [*base, "--verify"])
     assert (code, out) == (1, "")
     assert f"for gens=(3, 5) {where}".strip() + "\n" in err
+
+
+# Jobs whose build and default report fit under the cap, but one --verify
+# oracle's work estimate does not: the min-plus costs a1**2 = 1,018,081, and
+# the definitional pseudo-Frobenius oracle 39 candidates times 36 shifts.
+@pytest.mark.parametrize(
+    "gens, p, cap, oracle",
+    [
+        ("1009,1201,1499", "50", 10**6, "the min-plus generator oracle"),
+        ("40,41,42,43,44,45", "0", 1000, "the definitional pseudo-Frobenius oracle"),
+    ],
+)
+def test_verify_oracles_are_bounded_by_the_table_cap(capsys, monkeypatch, gens, p, cap, oracle):
+    monkeypatch.setenv("PSG_MAX_TABLE", str(cap))
+    job = ["invariants", "--gens", gens, "-p", p]
+    assert run(capsys, job)[0] == 0
+    start = time.perf_counter()
+    code, out, err = run(capsys, [*job, "--verify"])
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert oracle in err and "PSG_MAX_TABLE" in err
+
+
+@pytest.mark.parametrize(
+    "gens, p, chosen",
+    [
+        # p = 0, a1 = 503, embedding dimension 3: the scan's 5,766 steps
+        # against the min-plus's 253,009
+        ((503, 607, 701), 0, "minimal_generators_scan"),
+        ((3, 5), 1, "minimal_generators_min_plus"),
+    ],
+)
+def test_verify_picks_the_cheaper_generator_oracle(monkeypatch, gens, p, chosen):
+    from psemigroups import report as report_mod
+    from psemigroups import validate_generators
+
+    calls = []
+    for name in ("minimal_generators_scan", "minimal_generators_min_plus"):
+        real = getattr(report_mod, name)
+        spy = lambda semigroup, real=real, name=name: calls.append(name) or real(semigroup)
+        monkeypatch.setattr(report_mod, name, spy)
+    report_mod.build_invariant_report(validate_generators(list(gens)), p, verify=True)
+    assert calls == [chosen]
 
 
 def test_component_span_check_reads_a_gap_at_its_limit():

@@ -19,6 +19,7 @@ from psemigroups import (
     genus_from_apery,
     membership_oracle,
     minimal_generators,
+    minimal_generators_min_plus,
     minimal_generators_scan,
     validate_generators,
     valuation_lengths,
@@ -478,13 +479,6 @@ def test_apery_derived_invariants_match_scans(raw, p):
         assert valuation_lengths(S) == valuation_lengths_scan(S)
 
 
-def _least_sums(semigroup):
-    """Least sum of two positive Apery elements per class: the min-plus square."""
-    a1 = semigroup.gens.least
-    pos = [m if m else a1 for m in semigroup.apery]
-    return [min(pos[i] + pos[(r - i) % a1] for i in range(a1)) for r in range(a1)]
-
-
 # The window of the sumset runs from 2l to max + l, l and max the least and
 # largest positive Apery elements.  The class of 2l always has its least sum
 # there; ``at_max`` marks the cases whose least sum of some class is max + l.
@@ -502,12 +496,30 @@ def _least_sums(semigroup):
 def test_sumset_bounds_match_the_min_plus_square(raw, p, at_max):
     S = build_psemigroup(validate_generators(list(raw)), p)
     ranges = enumeration._generator_ranges(S)
-    least_sums = _least_sums(S)
+    least_sums = [r.stop for r in enumeration._min_plus_ranges(S)]
     assert [r.stop for r in ranges] == least_sums
     low, high = min(r.start for r in ranges), max(r.start for r in ranges)
     assert 2 * low in least_sums
     assert (high + low in least_sums) == at_max
     assert embedding_dimension(S) == len(minimal_generators_scan(S))
+
+
+# a1 = 1 as well as the usual generators
+gen_lists_from_1 = (
+    st.lists(st.integers(min_value=1, max_value=25), min_size=2, max_size=4)
+    .map(lambda xs: sorted(set(xs)))
+    .filter(lambda xs: len(xs) >= 2 and reduce(gcd, xs) == 1)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gen_lists_from_1, st.integers(min_value=0, max_value=6))
+@example([3, 10, 17], 0)  # class 0 at p = 0: its least positive member is a1
+@example([4, 5], 0)
+@example([1, 3], 2)
+def test_min_plus_matches_the_scan(raw, p):
+    S = build_psemigroup(validate_generators(raw), p)
+    assert minimal_generators_min_plus(S) == minimal_generators_scan(S)
 
 
 def _minimal_generators_oracle(semigroup):

@@ -4,7 +4,7 @@ from functools import reduce
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psemigroups import (
@@ -23,6 +23,7 @@ from psemigroups import (
 )
 from psemigroups.decompose import (
     FiniteSemigroup,
+    irreducible_decomposition,
     is_irreducible_classic,
     is_irreducible_shifted,
 )
@@ -364,6 +365,49 @@ def test_random_classification_consistency(raw, p):
     assert flags["irreducible"] == pairing
     assert flags["symmetric"] == sym == (pairing and total % 2 == 1)
     assert flags["pseudo_symmetric"] == pseudo == (pairing and total % 2 == 0)
+
+
+def _pf_unfiltered(semigroup):
+    """Every gap x with x + t a member for each positive shifted member t,
+    from ``contains`` alone, with no candidate filter."""
+    g = semigroup.frobenius
+    least = semigroup.least_element
+    member = [semigroup.contains(n) for n in range(least + 2 * g + 1)]
+    shifts = [t for t in range(1, g + 1) if member[least + t]]
+    return [
+        x for x in range(g + 1) if not member[x] and all(member[x + t] for t in shifts)
+    ]
+
+
+gen_lists_from_1 = (
+    st.lists(st.integers(min_value=1, max_value=25), min_size=2, max_size=4)
+    .map(lambda xs: sorted(set(xs)))
+    .filter(lambda xs: len(xs) >= 2 and reduce(gcd, xs) == 1)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gen_lists_from_1, st.integers(min_value=0, max_value=6))
+@example([1, 2], 0)  # a1 = 1 and no gap: the full monoid
+@example([1, 3], 2)  # a1 = 1 with least element 2
+@example([4, 5], 0)
+@example([5, 7, 9], 3)
+def test_filtered_pf_oracles_match_the_unfiltered_scan(raw, p):
+    """The a1-filtered oracles on p-semigroups, their adjoined-zero
+    semigroups, decomposition components and {0} with [5, oo).
+
+    Only the first and last components: the scan costs about F**2 probes
+    on an irreducible semigroup, and an input can have hundreds of them.
+    """
+    from psemigroups import build_psemigroup, validate_generators
+
+    S = build_psemigroup(validate_generators(raw), p)
+    T = FiniteSemigroup.from_psemigroup(S)
+    components = irreducible_decomposition(T)
+    for U in [S, T, components[0], components[-1], FiniteSemigroup(b"\x01\x00\x00\x00\x00")]:
+        expected = _pf_unfiltered(U)
+        assert pseudo_frobenius(U) == expected
+        assert pf_via_gap_maximals(U) == expected
 
 
 def test_embedding_dimension_and_type_bounds(build):
