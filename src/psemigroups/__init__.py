@@ -14,7 +14,6 @@ from .core import (
     GeneratorTuple,
     InternalConsistencyError,
     ModulusNotGeneratorError,
-    NoCoprimeElementError,
     NonIntegerResultError,
     NonPositiveElementError,
     OutOfValidityRangeError,
@@ -90,7 +89,6 @@ __all__ = [
     "GeneratorTuple",
     "InternalConsistencyError",
     "ModulusNotGeneratorError",
-    "NoCoprimeElementError",
     "NonIntegerResultError",
     "NonPositiveElementError",
     "OutOfValidityRangeError",

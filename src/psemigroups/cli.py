@@ -2,8 +2,11 @@
 
 Each command is a function from a validated generator tuple and typed
 fields to data, a dict or, for ``sweep``, a list of rows; it prints
-nothing.  ``main`` (argv) and ``batch`` (JSON lines) look the command up in
-one table, which also holds its renderers.
+nothing.  Two tables hold the whole job schema: ``COMMANDS`` maps each
+command to its function and renderers, and ``_FIELDS`` maps each field to
+its JSON type, option spelling and argparse keywords.  A command takes the
+fields its function's signature names.  ``main`` builds one argv parser per
+command from these, and ``batch`` checks each JSON job against them.
 
 Exit codes are a stable contract: 0 success, 1 internal-consistency
 failure, 2 input validation error.  JSON output is canonical (fixed field
@@ -50,6 +53,7 @@ def canonical_json(obj) -> str:
 def cmd_invariants(
     gens: GeneratorTuple, p: int = 0, mu: int = 3, verify: bool = False
 ) -> dict:
+    """Full invariant report for one p."""
     if not 0 <= mu <= MU_LIMIT:
         raise ValidationError(f"mu must be in 0..{MU_LIMIT}, got {mu}")
     report = build_invariant_report(gens, p, mu_max=mu, verify=verify)
@@ -79,6 +83,7 @@ def cmd_sweep(gens: GeneratorTuple, p: range = range(1), verify: bool = False) -
 def cmd_hilbert(
     gens: GeneratorTuple, p: int = 0, trunc: int | None = None, verify: bool = False
 ) -> dict:
+    """Membership and gap series, truncated at trunc."""
     semigroup = build_psemigroup(gens, p)
     if trunc is None:
         trunc = 4 * (semigroup.frobenius + 1)
@@ -96,6 +101,7 @@ def cmd_hilbert(
 
 
 def cmd_membership(gens: GeneratorTuple, p: int = 0, n: int = 0, verify: bool = False) -> dict:
+    """Denumerant of n and whether it exceeds p."""
     count = denumerant_table(gens, n)[n] if n >= 0 else 0
     if verify:
         check_denumerant(gens, n, count, p)
@@ -109,6 +115,7 @@ def cmd_membership(gens: GeneratorTuple, p: int = 0, n: int = 0, verify: bool = 
 
 
 def cmd_denumerant(gens: GeneratorTuple, n: int = 0, verify: bool = False) -> dict:
+    """Number of representations of n."""
     if n < 0:
         raise ValidationError("n must be non-negative")
     count = denumerant_table(gens, n)[n]
@@ -143,6 +150,7 @@ def _spans(generators: list[int], component: FiniteSemigroup) -> bool:
 
 
 def cmd_decompose(gens: GeneratorTuple, p: int = 0, verify: bool = False) -> dict:
+    """Irreducible intersection decomposition."""
     base = FiniteSemigroup.from_psemigroup(build_psemigroup(gens, p))
     components = irreducible_decomposition(base)
     where = f"gens={gens.elements} p={p}"
@@ -290,10 +298,20 @@ def _warn_non_minimal(gens: GeneratorTuple, quiet: bool) -> None:
         )
 
 
-# The batch job schema: every field a job may give, with its JSON type.  Each
-# field given is type-checked; then any key its command's function does not
-# name is rejected, as argv rejects an option the command does not take.
-_JOB_FIELDS = {"p": int, "n": int, "mu": int, "trunc": int, "verify": bool}
+# Every field a command may take: its batch JSON type, its argv spelling and
+# the argparse keywords of that option.  A command takes the fields its
+# function names, on argv and in batch alike; argv reads -p as text because
+# sweep takes a range there.
+_FIELDS = {
+    "p": (int, ("-p", "--p"), {"help": "threshold: N, or A..B for sweep"}),
+    "n": (int, ("-n",), {"type": int, "required": True, "help": "the integer n"}),
+    "mu": (int, ("--mu",), {"type": int, "help": f"largest power-sum exponent, 0..{MU_LIMIT}"}),
+    "trunc": (int, ("--trunc",), {"type": int, "help": "truncation (default 4*(frobenius+1))"}),
+    "verify": (bool, ("--verify",), {
+        "action": "store_true",
+        "help": "run the independent oracles too and exit 1 on any mismatch",
+    }),
+}
 
 
 @functools.cache
@@ -317,14 +335,14 @@ def _parse_job(line: str) -> tuple[str, GeneratorTuple, dict]:
     if not isinstance(job.get("gens"), list):
         raise ValidationError("batch job needs a 'gens' list")
     gens = validate_generators(job["gens"])
-    for key, kind in _JOB_FIELDS.items():
+    for key, (kind, _, _) in _FIELDS.items():
         if key in job and type(job[key]) is not kind:
             name = "an integer" if kind is int else "true or false"
             raise ValidationError(f"batch job field {key!r} must be {name}, got {job[key]!r}")
     untaken = job.keys() - _parameters(COMMANDS[command][0]) - {"command"}
     if untaken:
         raise ValidationError(f"batch command {command!r} does not take {sorted(untaken)}")
-    fields = {key: job[key] for key in _JOB_FIELDS if key in job}
+    fields = {key: job[key] for key in _FIELDS if key in job}
     if "p" in fields:
         p = fields["p"]
         fields["p"] = _p_values(p, p, str(p), command)
@@ -338,11 +356,11 @@ def _answer(command: str, gens: GeneratorTuple, fields: dict, fmt: str = "json")
 
 
 def cmd_batch(jobs: str) -> int:
-    """One output line per non-blank job line: the job's JSON or its error."""
+    """JSON-lines jobs from a file or '-': one line out per job, its JSON or its error."""
     if jobs == "-":
         lines = sys.stdin.read().splitlines()
     else:
-        with open(jobs, "r", encoding="utf-8") as handle:
+        with open(jobs, encoding="utf-8", errors="surrogateescape") as handle:
             lines = handle.read().splitlines()
     failures = set()
     for number, line in enumerate(lines, 1):
@@ -360,68 +378,48 @@ def cmd_batch(jobs: str) -> int:
     return min(failures, default=0)  # exit 1 outranks exit 2
 
 
-_FORMAT_HELP = {"json": "JSON output", "csv": "CSV output", "text": "aligned text output"}
+@functools.cache
+def _parser(command: str) -> argparse.ArgumentParser:
+    """The argv parser of one command, from its function's signature and renderers.
 
-
-def _add_command(sub, name: str, help_text: str, takes_p: bool = True):
-    # An option left out is left out of the namespace, so the command's own
-    # default applies, as it does to a batch job.
-    parser = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-    parser.add_argument("--gens", required=True, help="comma-separated generators")
-    if takes_p:
-        parser.add_argument("-p", "--p", help="threshold: N or A..B")
-    renderers = COMMANDS[name][1]
-    fmt = parser.add_mutually_exclusive_group()
-    for key, help_format in _FORMAT_HELP.items():
-        if key in renderers:
-            fmt.add_argument(f"--{key}", dest="format", action="store_const", const=key,
-                             help=help_format)
-    parser.add_argument(
-        "--verify",
-        action="store_true",
-        help="re-derive closed-form results by enumeration and fail on mismatch",
+    An option left out is left out of the namespace, so the command's own
+    default applies, as it does to a batch job.
+    """
+    function, renderers = COMMANDS[command]
+    parser = argparse.ArgumentParser(
+        prog=f"psg {command}", description=function.__doc__, argument_default=argparse.SUPPRESS
     )
+    parser.add_argument("--gens", required=True, help="comma-separated generators")
+    for key, (_, flags, keywords) in _FIELDS.items():
+        if key in _parameters(function):
+            parser.add_argument(*flags, **keywords)
+    formats = parser.add_mutually_exclusive_group()
+    for key in renderers:
+        formats.add_argument(f"--{key}", dest="format", action="store_const", const=key,
+                             help=f"{key} output")
     parser.add_argument("--quiet", action="store_true", help="suppress warnings")
     parser.set_defaults(format=next(iter(renderers)))
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="psg",
-        description="Exact invariants of numerical semigroups filtered by "
-        "representation count.",
+def _usage() -> str:
+    """Each command with the first line of its function's docstring."""
+    entries = [*COMMANDS.items(), ("batch", (cmd_batch, {}))]
+    return "usage: psg COMMAND [-h] ... | psg batch FILE|-\n" + "".join(
+        f"  {name:<11} {function.__doc__.splitlines()[0]}\n" for name, (function, _) in entries
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    _add_command(sub, "invariants", "full invariant report for one p").add_argument(
-        "--mu", type=int, help=f"largest power-sum exponent, 0..{MU_LIMIT}"
-    )
-    _add_command(sub, "sweep", "one row per p over a range")
-    _add_command(sub, "hilbert", "membership and gap series").add_argument(
-        "--trunc", type=int, help="series truncation (default 4*(frobenius+1))"
-    )
-    _add_command(sub, "membership", "denumerant and threshold verdict").add_argument(
-        "-n", type=int, required=True, help="integer to test"
-    )
-    _add_command(sub, "denumerant", "number of representations", takes_p=False).add_argument(
-        "-n", type=int, required=True, help="integer to count"
-    )
-    _add_command(sub, "decompose", "irreducible intersection decomposition")
-    batch = sub.add_parser("batch", help="JSON-lines jobs from a file or '-'")
-    batch.add_argument("jobs", help="path to JSON-lines job file, or '-' for stdin")
-    return parser
-
-
-# One parser per process, built on the first call so importing stays cheap.
-_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    fields = vars(_parser().parse_args(argv))
-    command = fields.pop("command")
+    command, *args = (sys.argv[1:] if argv is None else argv) or [""]
     try:
-        if command == "batch":
-            return cmd_batch(fields["jobs"])
+        if command == "batch" and len(args) == 1:
+            return cmd_batch(*args)
+        if command not in COMMANDS:
+            helped = command in ("-h", "--help")
+            print(_usage(), end="", file=sys.stdout if helped else sys.stderr)
+            return 0 if helped else 2
+        fields = vars(_parser(command).parse_args(args))
         fmt = fields.pop("format")
         gens = _parse_gens(fields.pop("gens"))
         _warn_non_minimal(gens, fields.pop("quiet", False))

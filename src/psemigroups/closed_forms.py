@@ -19,7 +19,6 @@ from .core import (
     GcdNotOneError,
     GeneratorTuple,
     InternalConsistencyError,
-    NoCoprimeElementError,
     OutOfValidityRangeError,
     ValidationError,
     _exact_int,
@@ -83,27 +82,22 @@ class GcdReduction:
 def gcd_reduce(gens: GeneratorTuple) -> GcdReduction:
     """Factor out the gcd of all generators except one.
 
-    The distinguished generator is the smallest whose reduced alphabet stays
-    duplicate-free (overall gcd 1 makes every element coprime to the gcd of
-    the others, so a candidate always exists; d = 1 gives the identity
-    reduction).
+    The distinguished generator a1 is the smallest whose reduced alphabet
+    stays duplicate-free: a1 is coprime to the gcd d of the others, and a1
+    is none of their quotients r/d (d = 1 gives the identity reduction).
+    The largest generator a_k always qualifies, so the loop breaks at the
+    latest there: gcd(a_k, d) is the gcd of the whole tuple, 1; every
+    quotient r/d is at most r < a_k; and the quotients have gcd 1, so the
+    reduced tuple validates.
     """
     elements = gens.elements
     for i, a1 in enumerate(elements):
         rest = elements[:i] + elements[i + 1 :]
-        d = 0
-        for r in rest:
-            d = gcd(d, r)
-        if gcd(a1, d) != 1:
-            continue
+        d = gcd(*rest)
         quotients = [r // d for r in rest]
-        if a1 in quotients:
-            continue
-        reduced = validate_generators([a1, *quotients])
-        return GcdReduction(a1=a1, d=d, reduced=reduced)
-    raise NoCoprimeElementError(
-        "no generator is coprime to the gcd of the others"
-    )
+        if gcd(a1, d) == 1 and a1 not in quotients:
+            break
+    return GcdReduction(a1=a1, d=d, reduced=validate_generators([a1, *quotients]))
 
 
 def lift_invariants(

@@ -47,10 +47,6 @@ class OutOfValidityRangeError(ValidationError):
     pass
 
 
-class NoCoprimeElementError(ValidationError):
-    pass
-
-
 class TableLimitError(ValidationError):
     """A membership table would exceed the configured size cap."""
 

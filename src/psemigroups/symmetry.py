@@ -4,11 +4,13 @@ Symmetry and pseudo-symmetry are one pairing: members and non-members pair
 off exactly under x <-> total - x, with total = least member + Frobenius,
 and an integral midpoint is exempt.  The parity of total decides which of
 the two it is: symmetric when total is odd, pseudo-symmetric when it is
-even.  ``_pairing`` decides it once per call from the membership window and
-from the Apery tuple (classes r and total - r sum to total + a1) and
-refuses to answer if they disagree.  The genus identity implied by the
-pairing is asserted in the forward direction only: its converse fails for
-some non-minimal generator tuples, where the gap count matches by accident.
+even; ``classify`` alone reads that parity, and the ``is_p_*`` predicates
+read ``classify``.  ``_pairing`` decides the pairing once per call from the
+membership window and from the Apery tuple (classes r and total - r sum to
+total + a1) and refuses to answer if they disagree.  The genus identity
+implied by the pairing is asserted in the forward direction only: its
+converse fails for some non-minimal generator tuples, where the gap count
+matches by accident.
 
 The pseudo-Frobenius numbers are the maximal gaps under x <= y iff y - x
 is 0 or a positive shifted member t (least + t a member).  Let t =
@@ -84,14 +86,12 @@ def _pairing(semigroup: PSemigroup) -> tuple[bool, int, bool | None]:
 
 def is_p_symmetric(semigroup: PSemigroup) -> bool:
     """Members and non-members pair off exactly under x -> total - x, total odd."""
-    pairing, total, _ = _pairing(semigroup)
-    return pairing and total % 2 == 1
+    return classify(semigroup)["symmetric"]
 
 
 def is_p_pseudo_symmetric(semigroup: PSemigroup) -> bool:
     """Same pairing with total even and its midpoint exempt."""
-    pairing, total, _ = _pairing(semigroup)
-    return pairing and total % 2 == 0
+    return classify(semigroup)["pseudo_symmetric"]
 
 
 def is_p_completely_symmetric(semigroup: PSemigroup) -> bool:

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import psemigroups
-from psemigroups.cli import canonical_json, main
+from psemigroups.cli import COMMANDS, canonical_json, main
 
 REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "references"
 
@@ -716,3 +717,74 @@ def test_component_span_check_reads_a_gap_at_its_limit():
     component = FiniteSemigroup.from_generators([3, 5, 7])
     assert _spans([3, 5, 7], component)
     assert not _spans([3, 5], component)
+
+
+def _exit(capsys, argv):
+    """main's exit code, whether it returns it or argparse raises it."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _taken(command):
+    return set(inspect.signature(COMMANDS[command][0]).parameters) - {"gens"}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_argv_and_batch_take_the_same_fields(command):
+    """A command's parser has an option for each field its signature names, batch a key."""
+    from psemigroups.cli import _parse_job, _parser
+    from psemigroups.core import ValidationError
+
+    options = {action.dest for action in _parser(command)._actions}
+    assert options - {"help", "gens", "format", "quiet"} == _taken(command)
+    in_batch = set()
+    for key in ("p", "n", "mu", "trunc", "verify", "verfy"):
+        job = {"command": command, "gens": [3, 5], key: True if key == "verify" else 1}
+        try:
+            _parse_job(json.dumps(job))
+        except ValidationError:
+            continue
+        in_batch.add(key)
+    assert in_batch == _taken(command)
+
+
+@pytest.mark.parametrize(
+    "command, key", [(command, key) for command in sorted(COMMANDS) for key in _taken(command)]
+)
+def test_a_mistyped_field_exits_2_on_argv_and_in_batch(capsys, monkeypatch, command, key):
+    n = ["-n", "7"] if "n" in _taken(command) and key != "n" else []
+    option = {"p": "-p", "n": "-n"}.get(key, f"--{key}")
+    bad = [f"{option}=x"] if key == "verify" else [option, "x"]
+    code, out, err = _exit(capsys, [command, "--gens", "3,5", *n, *bad])
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    job = {"command": command, "gens": [3, 5], key: "x"}
+    assert _batch(monkeypatch, capsys, [json.dumps(job)])[0] == 2
+
+
+def test_usage_lists_every_command_and_bad_invocations_exit_2(capsys):
+    code, out, _ = _exit(capsys, ["-h"])
+    assert code == 0
+    for command in [*COMMANDS, "batch"]:
+        assert f"\n  {command} " in out
+    for argv in [[], ["nosuch"], ["batch"], ["batch", "a", "b"]]:
+        code, out, err = _exit(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "usage: psg" in err and "Traceback" not in err
+
+
+def test_batch_file_with_bytes_that_are_not_utf8(capsys, tmp_path):
+    good = json.dumps({"command": "denumerant", "gens": [2, 5, 7], "n": 43}).encode()
+    path = tmp_path / "jobs.jsonl"
+    path.write_bytes(good + b"\n\xff\xfe\n" + good + b"\n")
+    code, out, err = run(capsys, ["batch", str(path)])
+    assert code == 2
+    assert "Traceback" not in err
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == 3
+    assert {key: rows[1][key] for key in ("exit", "line")} == {"exit": 2, "line": 2}
+    assert rows[0] == rows[2] == {"gens": [2, 5, 7], "n": 43, "denumerant": "17"}

@@ -127,3 +127,15 @@ def test_only_apery_reads_the_built_apery_tuple(module):
         if isinstance(node, ast.Attribute) and node.attr == "apery"
     ]
     assert reads == []
+
+
+def test_only_classify_reads_the_pairing():
+    """The parity of total decides symmetric against pseudo-symmetric in one place."""
+    callers = [
+        function.name
+        for function in ast.walk(_tree("symmetry.py"))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_pairing"
+    ]
+    assert callers == ["classify"]
