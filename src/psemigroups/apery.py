@@ -16,7 +16,7 @@ element plus the multiples of a.
 
 from __future__ import annotations
 
-import threading
+import functools
 from fractions import Fraction
 from itertools import repeat
 from math import comb, lcm
@@ -60,27 +60,21 @@ def sylvester_sum_from_apery(ap: tuple[int, ...]) -> int:
     return gap_power_sums(ap, 1)[1]
 
 
-_BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
-_BERNOULLI_LOCK = threading.Lock()
-
-
+@functools.cache
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n under the convention fixed by x/(e^x - 1).
 
     Generated by the recurrence sum_{j<=m} C(m+1, j) B_j = 0 (m >= 1), which
-    forces B_1 = -1/2.  The cache only ever grows, so concurrent readers see
-    a consistent prefix.
+    forces B_1 = -1/2.  Memoized by ``functools.cache``; each call asks for
+    B_0..B_{n-1} in ascending order, so the recursion stays two calls deep
+    whatever index comes first.  A negative index raises, and nothing is
+    cached for it.
     """
     if n < 0:
         raise ValidationError("Bernoulli index must be non-negative")
-    with _BERNOULLI_LOCK:
-        while len(_BERNOULLI_CACHE) <= n:
-            m = len(_BERNOULLI_CACHE)
-            acc = Fraction(0)
-            for j in range(m):
-                acc += comb(m + 1, j) * _BERNOULLI_CACHE[j]
-            _BERNOULLI_CACHE.append(-acc / (m + 1))
-        return _BERNOULLI_CACHE[n]
+    if n == 0:
+        return Fraction(1)
+    return -sum(comb(n + 1, j) * bernoulli(j) for j in range(n)) / (n + 1)
 
 
 def gap_power_sums(ap: tuple[int, ...], mu_max: int) -> list[int]:

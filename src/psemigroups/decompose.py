@@ -9,7 +9,8 @@ uncovered gaps from the top: for each one it completes the semigroup to an
 irreducible oversemigroup avoiding that gap, in closed form (the members
 below the gap, the upper-half integers whose partner below the gap is not a
 member, everything above it).  Each component is the only one that excludes
-its own gap, so no component is redundant.
+its own gap, so no component is redundant.  The walk also keeps the meet of
+its components and raises unless it is the input.
 
 The completion, ``intersect``, ``is_subsemigroup`` and the uncovered-gap
 walk read a table as a Python int "word" built by ``core._bits``: bit n is
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    _FLIP, InternalConsistencyError, PSemigroup, ValidationError,
+    InternalConsistencyError, PSemigroup, ValidationError,
     _bits, _least_positive, _table_of, _window, validate_generators,
 )
 from .enumeration import build_psemigroup
@@ -177,14 +178,20 @@ def irreducible_decomposition(semigroup: FiniteSemigroup) -> list[FiniteSemigrou
     result is irredundant, not guaranteed globally minimal.
     """
     length = len(semigroup.membership)
+    members = _bits(semigroup.membership)
     components: list[FiniteSemigroup] = []
-    # gaps of the input that no component excludes yet
-    uncovered = _bits(semigroup.membership.translate(_FLIP))
+    # below ``length``: the members of every component so far, and the
+    # input's gaps that no component excludes yet
+    meet = (1 << length) - 1
+    uncovered = meet ^ members
     while uncovered:
-        target = uncovered.bit_length() - 1
-        component = irreducible_oversemigroup_avoiding(semigroup, target)
+        component = irreducible_oversemigroup_avoiding(semigroup, uncovered.bit_length() - 1)
         components.append(component)
-        uncovered &= _bits(_window(component.membership, 0, length))
+        word = _bits(_window(component.membership, 0, length))
+        meet &= word
+        uncovered &= word
+    if meet != members:  # every gap is excluded, so a component lost a member
+        raise InternalConsistencyError("the components do not intersect to the input")
     return components or [semigroup]
 
 
@@ -193,17 +200,10 @@ def verify_decomposition(
 ) -> bool:
     """Is ``components`` a valid irreducible decomposition of ``semigroup``?
 
-    Requires every component to be an oversemigroup that is irreducible in
-    the ordinary or the multiplicity-anchored sense, and the intersection to
-    equal the input exactly.
+    Requires every component to be irreducible in the ordinary or the
+    multiplicity-anchored sense, and the intersection to equal the input
+    exactly.  The intersection lies inside each component, so that makes
+    every component an oversemigroup of the input.
     """
-    if not components:
-        return False
-    for component in components:
-        if not is_subsemigroup(semigroup, component):
-            return False
-        if not (
-            is_irreducible_classic(component) or is_irreducible_shifted(component)
-        ):
-            return False
-    return intersect(components) == semigroup
+    irreducible = (is_irreducible_classic(c) or is_irreducible_shifted(c) for c in components)
+    return bool(components) and all(irreducible) and intersect(components) == semigroup

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -134,14 +134,21 @@ def test_power_sum_mu1_is_sylvester(build):
 
 
 def test_bernoulli_values():
+    bernoulli.cache_clear()
+    top = bernoulli(120)  # the highest index first, on an empty memo
+    numbers = [bernoulli(j) for j in range(120)] + [top]
+    for m in range(1, 121):
+        assert sum(comb(m + 1, j) * numbers[j] for j in range(m + 1)) == 0
+    assert all(numbers[n] == 0 for n in range(3, 121, 2))
     assert bernoulli(0) == 1
     assert bernoulli(1) == Fraction(-1, 2)
     assert bernoulli(2) == Fraction(1, 6)
     assert bernoulli(3) == 0
     assert bernoulli(4) == Fraction(-1, 30)
     assert bernoulli(12) == Fraction(-691, 2730)
-    with pytest.raises(ValidationError):
-        bernoulli(-1)
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            bernoulli(-1)
 
 
 gen_lists = (

@@ -195,7 +195,7 @@ def test_batch_stdin(capsys, monkeypatch):
     )
     import io as _io
 
-    monkeypatch.setattr("sys.stdin", _io.StringIO(jobs))
+    monkeypatch.setattr("sys.stdin", _io.TextIOWrapper(_io.BytesIO(jobs.encode())))
     code = main(["batch", "-"])
     out = capsys.readouterr().out
     lines = out.splitlines()
@@ -260,7 +260,7 @@ def test_batch_rejects_malformed_jobs(capsys, monkeypatch):
         "{not json",
         json.dumps({"command": "denumerant", "gens": [2, 5, 7], "n": 43}),
     ]
-    monkeypatch.setattr("sys.stdin", _io.StringIO("\n".join(lines)))
+    monkeypatch.setattr("sys.stdin", _io.TextIOWrapper(_io.BytesIO("\n".join(lines).encode())))
     code = main(["batch", "-"])
     captured = capsys.readouterr()
     out = [json.loads(line) for line in captured.out.splitlines()]
@@ -451,7 +451,8 @@ def test_mu_at_its_bound_runs(capsys):
 def _batch(monkeypatch, capsys, lines):
     import io as _io
 
-    monkeypatch.setattr("sys.stdin", _io.StringIO("\n".join(lines) + "\n"))
+    data = ("\n".join(lines) + "\n").encode()
+    monkeypatch.setattr("sys.stdin", _io.TextIOWrapper(_io.BytesIO(data)))
     code = main(["batch", "-"])
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
@@ -788,3 +789,39 @@ def test_batch_file_with_bytes_that_are_not_utf8(capsys, tmp_path):
     assert len(rows) == 3
     assert {key: rows[1][key] for key in ("exit", "line")} == {"exit": 2, "line": 2}
     assert rows[0] == rows[2] == {"gens": [2, 5, 7], "n": 43, "denumerant": "17"}
+
+
+def test_batch_stdin_with_bytes_that_are_not_utf8_under_a_strict_locale():
+    good = json.dumps({"command": "denumerant", "gens": [2, 5, 7], "n": 43}).encode()
+    src = str(Path(psemigroups.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "psemigroups.cli", "batch", "-"],
+        input=good + b"\n\xff\xfe\n" + good + b"\n",
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8:strict"},
+        check=False,
+    )
+    assert done.returncode == 2
+    assert b"Traceback" not in done.stderr
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert len(rows) == 3
+    assert {key: rows[1][key] for key in ("exit", "line")} == {"exit": 2, "line": 2}
+    assert rows[0] == rows[2] == {"gens": [2, 5, 7], "n": 43, "denumerant": "17"}
+
+
+def test_decompose_exits_1_when_a_component_loses_a_member(capsys, monkeypatch):
+    import psemigroups.decompose as decompose
+
+    real = decompose.irreducible_oversemigroup_avoiding
+
+    def lossy(semigroup, gap):
+        # drop the input's multiplicity, which every true component keeps
+        m = semigroup.multiplicity
+        table = bytearray(real(semigroup, gap).membership.ljust(m + 1, b"\x01"))
+        table[m] = 0
+        return decompose.FiniteSemigroup.from_table(table)
+
+    monkeypatch.setattr(decompose, "irreducible_oversemigroup_avoiding", lossy)
+    code, out, err = run(capsys, ["decompose", "--gens", "3,5", "-p", "1"])
+    assert (code, out) == (1, "")
+    assert "do not intersect to the input" in err
