@@ -54,11 +54,15 @@ def denumerant_oracle(gens: GeneratorTuple, n: int) -> int:
     """Representation count by plain recursive enumeration.
 
     Structurally independent of the table recurrence (descends over
-    generators, largest first, no shared state); intended for tests.
+    generators, largest first, no shared state); intended for tests.  The
+    generators above n take no part in a representation of n, so the
+    recursion, one level per generator, runs over the others only.
     """
     if n < 0:
         raise ValidationError("n must be non-negative")
-    desc = sorted(gens.elements, reverse=True)
+    desc = sorted((a for a in gens.elements if a <= n), reverse=True)
+    if not desc:
+        return int(n == 0)
     last = len(desc) - 1
 
     def count(i: int, m: int) -> int:

@@ -642,9 +642,9 @@ def _flip_bit_zero(word: int) -> int:
         ("report", "two_var_membership", lambda member: not member, "membership -n 43", "p=1"),
         ("report", "pf_via_gap_maximals", lambda pf: pf[:-1], "invariants", "p=1"),
         ("report", "pseudo_frobenius", lambda pf: pf[:-1], "invariants", "p=1"),
+        ("report", "pf_via_apery_maximals", lambda pf: pf[:-1], "invariants", "p=1"),
         ("report", "minimal_generators_min_plus", lambda gens: gens[:-1], "invariants", "p=1"),
         ("report", "lift_invariants", lambda t: (t[0] + 1, *t[1:]), "invariants", "p=1"),
-        ("cli", "verify_decomposition", lambda ok: not ok, "decompose", "p=1"),
         ("cli", "minimal_generators_scan", lambda gens: gens[:-1], "decompose", "p=1"),
         ("cli", "_member_word", _flip_bit_zero, "decompose", "p=1"),
     ],
@@ -825,3 +825,44 @@ def test_decompose_exits_1_when_a_component_loses_a_member(capsys, monkeypatch):
     code, out, err = run(capsys, ["decompose", "--gens", "3,5", "-p", "1"])
     assert (code, out) == (1, "")
     assert "do not intersect to the input" in err
+
+
+def test_decompose_exits_1_when_a_completion_does_not_pair(capsys, monkeypatch):
+    import psemigroups.decompose as decompose
+
+    monkeypatch.setattr(decompose, "_pairs_exactly_one", lambda membership, total: False)
+    code, out, err = run(capsys, ["decompose", "--gens", "3,5", "-p", "1"])
+    assert (code, out) == (1, "")
+    assert "not an irreducible oversemigroup" in err
+
+
+# 1,200 generators pass the recursive oracle's loop bound at n <= 1000, as
+# each a > n adds a factor n // a + 1 = 1; each once cost it a recursion level
+_WIDE = list(range(1000, 2200))
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["denumerant", "-n", "5"], 0),
+        (["denumerant", "-n", "0"], 1),
+        (["membership", "-p", "0", "-n", "1000"], 1),
+    ],
+    ids=["denumerant-5", "denumerant-0", "membership-1000"],
+)
+def test_denumerant_oracle_recurses_only_over_generators_up_to_n(capsys, argv, count):
+    command, *extra = argv
+    wide = ",".join(map(str, _WIDE))
+    code, out, err = run(capsys, [command, "--gens", wide, *extra, "--json", "--verify"])
+    assert code == 0
+    assert "Traceback" not in err
+    assert json.loads(out)["denumerant"] == str(count)
+
+
+def test_a_wide_denumerant_oracle_job_does_not_end_the_batch(capsys, monkeypatch):
+    good = json.dumps({"command": "denumerant", "gens": [2, 5, 7], "n": 43})
+    wide = json.dumps({"command": "membership", "gens": _WIDE, "n": 5, "verify": True})
+    code, out = _batch(monkeypatch, capsys, [good, wide, good])
+    assert code == 0
+    assert out[0] == out[2] == {"gens": [2, 5, 7], "n": 43, "denumerant": "17"}
+    assert out[1]["denumerant"] == "0"

@@ -139,3 +139,20 @@ def test_only_classify_reads_the_pairing():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_pairing"
     ]
     assert callers == ["classify"]
+
+
+def test_verify_repeats_no_check_the_default_path_makes():
+    """``--verify`` adds independent oracles, not second runs of production code.
+
+    The report's pseudo-Frobenius set is ``pf_via_apery_maximals`` read once,
+    and every decomposition checks its own pairing and meet as it is built.
+    """
+    report_callers = [
+        function.name
+        for function in ast.walk(_tree("report.py"))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pf_via_apery_maximals"
+    ]
+    assert report_callers == ["build_invariant_report"]
+    assert "verify_decomposition" not in {name for name, _ in _imports(_tree("cli.py"))}
