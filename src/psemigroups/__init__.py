@@ -13,7 +13,6 @@ from .core import (
     GcdNotOneError,
     GeneratorTuple,
     InternalConsistencyError,
-    ModulusNotGeneratorError,
     NonIntegerResultError,
     NonPositiveElementError,
     OutOfValidityRangeError,
@@ -37,9 +36,7 @@ from .apery import (
     bernoulli,
     frobenius_from_apery,
     gap_power_sums,
-    genus_from_apery,
     power_sum,
-    sylvester_sum_from_apery,
 )
 from .symmetry import (
     classify,
@@ -74,7 +71,6 @@ from .decompose import (
     irreducible_oversemigroup_avoiding,
     is_irreducible_classic,
     is_irreducible_shifted,
-    is_subsemigroup,
     verify_decomposition,
 )
 from .report import build_invariant_report
@@ -88,7 +84,6 @@ __all__ = [
     "GcdReduction",
     "GeneratorTuple",
     "InternalConsistencyError",
-    "ModulusNotGeneratorError",
     "NonIntegerResultError",
     "NonPositiveElementError",
     "OutOfValidityRangeError",
@@ -110,7 +105,6 @@ __all__ = [
     "gaps",
     "gaps_series",
     "gcd_reduce",
-    "genus_from_apery",
     "hilbert_direct",
     "hilbert_from_apery",
     "intersect",
@@ -121,7 +115,6 @@ __all__ = [
     "is_p_completely_symmetric",
     "is_p_pseudo_symmetric",
     "is_p_symmetric",
-    "is_subsemigroup",
     "lift_invariants",
     "membership_oracle",
     "minimal_generators",
@@ -131,7 +124,6 @@ __all__ = [
     "pf_via_gap_maximals",
     "power_sum",
     "pseudo_frobenius",
-    "sylvester_sum_from_apery",
     "two_var_invariants",
     "two_var_membership",
     "valuation_lengths",

@@ -21,43 +21,21 @@ from fractions import Fraction
 from itertools import repeat
 from math import comb, lcm
 
-from .core import (
-    ModulusNotGeneratorError,
-    NonIntegerResultError,
-    PSemigroup,
-    ValidationError,
-    _least_per_class,
-)
+from .core import NonIntegerResultError, PSemigroup, ValidationError
 
 
-def apery_set(semigroup: PSemigroup, modulus: int | None = None) -> tuple[int, ...]:
-    """Apery set of the semigroup with respect to ``modulus`` (default min generator).
+def apery_set(semigroup: PSemigroup) -> tuple[int, ...]:
+    """Apery set modulo the least generator: the tuple the semigroup was built from.
 
     Entry j is the least member congruent to j, so the tuple's length is its
-    modulus.  The least modulus returns the tuple the semigroup was built
-    from; any other generator searches the membership table once per class.
+    modulus.
     """
-    a = semigroup.gens.least if modulus is None else modulus
-    if a == semigroup.gens.least:
-        return semigroup.apery
-    if a not in semigroup.gens.elements:
-        raise ModulusNotGeneratorError(f"{a} is not one of the generators")
-    return _least_per_class(semigroup.membership, a)
+    return semigroup.apery
 
 
 def frobenius_from_apery(ap: tuple[int, ...]) -> int:
     """Largest non-member: max Apery element minus the modulus ``len(ap)``."""
     return max(ap) - len(ap)
-
-
-def genus_from_apery(ap: tuple[int, ...]) -> int:
-    """Gap count: entry 0 of ``gap_power_sums``, for any generator modulus."""
-    return gap_power_sums(ap, 0)[0]
-
-
-def sylvester_sum_from_apery(ap: tuple[int, ...]) -> int:
-    """Sum of all gaps: entry 1 of ``gap_power_sums``, for any generator modulus."""
-    return gap_power_sums(ap, 1)[1]
 
 
 @functools.cache

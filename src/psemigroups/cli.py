@@ -5,8 +5,9 @@ fields to data, a dict or, for ``sweep``, a list of rows; it prints
 nothing.  Two tables hold the whole job schema: ``COMMANDS`` maps each
 command to its function and renderers, and ``_FIELDS`` maps each field to
 its JSON type, option spelling and argparse keywords.  A command takes the
-fields its function's signature names.  ``main`` builds one argv parser per
-command from these, and ``batch`` checks each JSON job against them.
+fields its function's signature names, and needs those without a default.
+``main`` builds one argv parser per command from these, and ``batch``
+checks each JSON job against them.
 
 Exit codes are a stable contract: 0 success, 1 internal-consistency
 failure, 2 input validation error.  JSON output is canonical (fixed field
@@ -95,7 +96,7 @@ def cmd_hilbert(
     }
 
 
-def cmd_membership(gens: GeneratorTuple, p: int = 0, n: int = 0, verify: bool = False) -> dict:
+def cmd_membership(gens: GeneratorTuple, n: int, p: int = 0, verify: bool = False) -> dict:
     """Denumerant of n and whether it exceeds p."""
     count = denumerant_table(gens, n)[n] if n >= 0 else 0
     if verify:
@@ -109,7 +110,7 @@ def cmd_membership(gens: GeneratorTuple, p: int = 0, n: int = 0, verify: bool = 
     }
 
 
-def cmd_denumerant(gens: GeneratorTuple, n: int = 0, verify: bool = False) -> dict:
+def cmd_denumerant(gens: GeneratorTuple, n: int, verify: bool = False) -> dict:
     """Number of representations of n."""
     if n < 0:
         raise ValidationError("n must be non-negative")
@@ -290,11 +291,11 @@ def _warn_non_minimal(gens: GeneratorTuple, quiet: bool) -> None:
 
 # Every field a command may take: its batch JSON type, its argv spelling and
 # the argparse keywords of that option.  A command takes the fields its
-# function names, on argv and in batch alike; argv reads -p as text because
-# sweep takes a range there.
+# function names, and needs those without a default, on argv and in batch
+# alike; argv reads -p as text because sweep takes a range there.
 _FIELDS = {
     "p": (int, ("-p", "--p"), {"help": "threshold: N, or A..B for sweep"}),
-    "n": (int, ("-n",), {"type": int, "required": True, "help": "the integer n"}),
+    "n": (int, ("-n",), {"type": int, "help": "the integer n"}),
     "mu": (int, ("--mu",), {"type": int, "help": f"largest power-sum exponent, 0..{MU_LIMIT}"}),
     "trunc": (int, ("--trunc",), {"type": int, "help": "truncation (default 4*(frobenius+1))"}),
     "verify": (bool, ("--verify",), {
@@ -305,8 +306,12 @@ _FIELDS = {
 
 
 @functools.cache
-def _parameters(function) -> frozenset[str]:
-    return frozenset(inspect.signature(function).parameters)
+def _parameters(function) -> dict[str, bool]:
+    """Each parameter of a command's function, and whether a job must give it."""
+    return {
+        name: parameter.default is parameter.empty
+        for name, parameter in inspect.signature(function).parameters.items()
+    }
 
 
 def _parse_job(line: str) -> tuple[str, GeneratorTuple, dict]:
@@ -329,9 +334,13 @@ def _parse_job(line: str) -> tuple[str, GeneratorTuple, dict]:
         if key in job and type(job[key]) is not kind:
             name = "an integer" if kind is int else "true or false"
             raise ValidationError(f"batch job field {key!r} must be {name}, got {job[key]!r}")
-    untaken = job.keys() - _parameters(COMMANDS[command][0]) - {"command"}
+    taken = _parameters(COMMANDS[command][0])
+    untaken = job.keys() - taken - {"command"}
     if untaken:
         raise ValidationError(f"batch command {command!r} does not take {sorted(untaken)}")
+    missing = [key for key, required in taken.items() if required and key not in job]
+    if missing:
+        raise ValidationError(f"batch command {command!r} needs {missing}")
     fields = {key: job[key] for key in _FIELDS if key in job}
     if "p" in fields:
         p = fields["p"]
@@ -375,16 +384,18 @@ def _parser(command: str) -> argparse.ArgumentParser:
     """The argv parser of one command, from its function's signature and renderers.
 
     An option left out is left out of the namespace, so the command's own
-    default applies, as it does to a batch job.
+    default applies, as it does to a batch job; a parameter without a
+    default is a required option.
     """
     function, renderers = COMMANDS[command]
     parser = argparse.ArgumentParser(
         prog=f"psg {command}", description=function.__doc__, argument_default=argparse.SUPPRESS
     )
     parser.add_argument("--gens", required=True, help="comma-separated generators")
+    taken = _parameters(function)
     for key, (_, flags, keywords) in _FIELDS.items():
-        if key in _parameters(function):
-            parser.add_argument(*flags, **keywords)
+        if key in taken:
+            parser.add_argument(*flags, required=taken[key], **keywords)
     formats = parser.add_mutually_exclusive_group()
     for key in renderers:
         formats.add_argument(f"--{key}", dest="format", action="store_const", const=key,
@@ -427,9 +438,5 @@ def main(argv=None) -> int:
         return 1
 
 
-def main_entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    main_entry()
+    sys.exit(main())

@@ -39,10 +39,6 @@ class GcdNotOneError(ValidationError):
     pass
 
 
-class ModulusNotGeneratorError(ValidationError):
-    pass
-
-
 class OutOfValidityRangeError(ValidationError):
     pass
 

@@ -12,10 +12,10 @@ member, everything above it).  Each component is the only one that excludes
 its own gap, so no component is redundant.  The walk also keeps the meet of
 its components and raises unless it is the input.
 
-The completion, ``intersect``, ``is_subsemigroup`` and the uncovered-gap
-walk read a table as a Python int "word" built by ``core._bits``: bit n is
-set iff n is a member (for a gap word, iff n is a gap).  Tables of unequal
-length are padded with members first, by ``core._window``.
+The completion, ``intersect`` and the uncovered-gap walk read a table as
+a Python int "word" built by ``core._bits``: bit n is set iff n is a
+member (for a gap word, iff n is a gap).  Tables of unequal length are
+padded with members first, by ``core._window``.
 """
 
 from __future__ import annotations
@@ -87,12 +87,6 @@ class FiniteSemigroup:
         completion's closed form needs none of them; the tests' greedy
         completion, which adjoins them one at a time, is its oracle."""
         return [x for x in pseudo_frobenius(self) if self.contains(2 * x)]
-
-
-def is_subsemigroup(inner: FiniteSemigroup, outer: FiniteSemigroup) -> bool:
-    length = max(len(inner.membership), len(outer.membership))
-    inner_word, outer_word = (_bits(_window(s.membership, 0, length)) for s in (inner, outer))
-    return inner_word & ~outer_word == 0
 
 
 def intersect(components: list[FiniteSemigroup]) -> FiniteSemigroup:

@@ -37,7 +37,7 @@ from .enumeration import (
     minimal_generators_min_plus,
     minimal_generators_scan,
 )
-from .apery import apery_set, frobenius_from_apery, gap_power_sums, sylvester_sum_from_apery
+from .apery import apery_set, frobenius_from_apery, gap_power_sums
 from .symmetry import (
     classify,
     pf_via_apery_maximals,
@@ -153,9 +153,8 @@ def _verify_extras(semigroup: PSemigroup, report: dict) -> None:
     reduction = gcd_reduce(gens)
     if reduction.d > 1:
         r = build_psemigroup(reduction.reduced, p)
-        lifted = lift_invariants(
-            reduction, r.frobenius, r.gap_count, sylvester_sum_from_apery(apery_set(r))
-        )
+        sylvester = gap_power_sums(apery_set(r), 1)[1]
+        lifted = lift_invariants(reduction, r.frobenius, r.gap_count, sylvester)
         if lifted != got:
             _mismatch("gcd-reduction lift", lifted, got, gens, p)
     # A validated tuple has gcd 1 and ascends strictly, so the closed forms

@@ -9,8 +9,8 @@ read ``classify``.  ``_pairing`` decides the pairing once per call from the
 membership window and from the Apery tuple (classes r and total - r sum to
 total + a1) and refuses to answer if they disagree.  The genus identity
 implied by the pairing is asserted in the forward direction only: its
-converse fails for some non-minimal generator tuples, where the gap count
-matches by accident.
+converse fails, for minimal generator tuples too.  (9,23,26,28) at p = 2
+and (9,10,23) at p = 3 have (F + least + 1)/2 gaps and are not symmetric.
 
 The pseudo-Frobenius numbers are the maximal gaps under x <= y iff y - x
 is 0 or a positive shifted member t (least + t a member).  Let t =

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psemigroups import (
-    ModulusNotGeneratorError,
     NonIntegerResultError,
     ValidationError,
     apery_set,
@@ -16,13 +15,12 @@ from psemigroups import (
     frobenius_from_apery,
     gap_power_sums,
     gaps,
-    genus_from_apery,
     hilbert_direct,
     hilbert_from_apery,
     power_sum,
-    sylvester_sum_from_apery,
     validate_generators,
 )
+from psemigroups.core import _least_per_class
 
 CORPUS = [
     ((3, 10, 17), (0, 1, 2, 4)),
@@ -47,18 +45,14 @@ def test_apery_defining_conditions(build):
     for tup, ps in CORPUS:
         for p in ps:
             S = build(tup, p)
+            assert apery_set(S) == _least_per_class(S.membership, tup[0])
             for a in tup:
-                ap = apery_set(S, a)
+                ap = _least_per_class(S.membership, a)
                 assert len(set(m % a for m in ap)) == a
                 for j, m in enumerate(ap):
                     assert m % a == j
                     assert S.contains(m)
                     assert not S.contains(m - a)
-
-
-def test_apery_rejects_non_generator(build):
-    with pytest.raises(ModulusNotGeneratorError):
-        apery_set(build((4, 5, 6), 2), 7)
 
 
 def test_apery_formulas_hold_for_every_generator_modulus(build):
@@ -70,10 +64,9 @@ def test_apery_formulas_hold_for_every_generator_modulus(build):
             gap_list = gaps(S)
             n = 2 * (S.frobenius + 1) + tup[-1]  # past every Apery element
             for a in tup:
-                ap = apery_set(S, a)
+                ap = _least_per_class(S.membership, a)
                 assert frobenius_from_apery(ap) == S.frobenius
-                assert genus_from_apery(ap) == len(gap_list)
-                assert sylvester_sum_from_apery(ap) == sum(gap_list)
+                assert gap_power_sums(ap, 1) == [len(gap_list), sum(gap_list)]
                 assert hilbert_from_apery(ap, n) == hilbert_direct(S, n)
                 assert gap_power_sums(ap, 3) == [sum(g**mu for g in gap_list) for mu in range(4)]
 
@@ -85,15 +78,15 @@ def test_frobenius_examples(build):
 
 
 def test_genus_examples(build):
-    assert genus_from_apery(apery_set(build((4, 5, 6), 8))) == 38
-    assert genus_from_apery(apery_set(build((6, 17, 28), 5))) == 156
-    assert genus_from_apery(apery_set(build((6, 7, 17, 28), 17))) == 100
+    assert gap_power_sums(apery_set(build((4, 5, 6), 8)), 0) == [38]
+    assert gap_power_sums(apery_set(build((6, 17, 28), 5)), 0) == [156]
+    assert gap_power_sums(apery_set(build((6, 7, 17, 28), 17)), 0) == [100]
 
 
 def test_sylvester_examples(build):
-    assert sylvester_sum_from_apery(apery_set(build((17, 20, 30), 3))) == 30349
-    assert sylvester_sum_from_apery(apery_set(build((2, 3, 17), 3))) == 136
-    assert sylvester_sum_from_apery(apery_set(build((2, 3), 0))) == 1
+    assert gap_power_sums(apery_set(build((17, 20, 30), 3)), 1)[1] == 30349
+    assert gap_power_sums(apery_set(build((2, 3, 17), 3)), 1)[1] == 136
+    assert gap_power_sums(apery_set(build((2, 3), 0)), 1)[1] == 1
 
 
 def test_power_sum_examples(build):
@@ -114,8 +107,7 @@ def test_apery_formulas_match_gaps_everywhere(build):
             ap = apery_set(S)
             gap_list = gaps(S)
             assert frobenius_from_apery(ap) == (gap_list[-1] if gap_list else -1)
-            assert genus_from_apery(ap) == len(gap_list)
-            assert sylvester_sum_from_apery(ap) == sum(gap_list)
+            assert gap_power_sums(ap, 1) == [len(gap_list), sum(gap_list)]
             for mu in (1, 2, 3):
                 assert power_sum(S, mu) == sum(n**mu for n in gap_list)
 
@@ -130,7 +122,7 @@ def test_power_sum_mu1_is_sylvester(build):
     for tup, ps in CORPUS:
         for p in ps:
             S = build(tup, p)
-            assert power_sum(S, 1) == sylvester_sum_from_apery(apery_set(S))
+            assert power_sum(S, 1) == gap_power_sums(apery_set(S), 1)[1]
 
 
 def test_bernoulli_values():
@@ -170,8 +162,7 @@ def test_apery_random_consistency(raw, p):
         assert m % a == j and S.contains(m) and not S.contains(m - a)
     gap_list = gaps(S)
     assert frobenius_from_apery(ap) == (gap_list[-1] if gap_list else -1)
-    assert genus_from_apery(ap) == len(gap_list)
-    assert sylvester_sum_from_apery(ap) == sum(gap_list)
+    assert gap_power_sums(ap, 1) == [len(gap_list), sum(gap_list)]
     assert power_sum(S, 2) == sum(n * n for n in gap_list)
 
 
@@ -183,6 +174,6 @@ def test_apery_gcd_scaling(build):
         ((6, 10, 15), (2, 3, 6), 6, 5, (0, 1, 2)),
     ]:
         for p in ps:
-            big = apery_set(build(original, p), a1)
-            small = apery_set(build(reduced, p), a1)
+            big = apery_set(build(original, p))
+            small = _least_per_class(build(reduced, p).membership, a1)
             assert tuple(sorted(big)) == tuple(d * m for m in sorted(small))

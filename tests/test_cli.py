@@ -743,14 +743,30 @@ def test_argv_and_batch_take_the_same_fields(command):
     options = {action.dest for action in _parser(command)._actions}
     assert options - {"help", "gens", "format", "quiet"} == _taken(command)
     in_batch = set()
+    needed = {"n": 1} if "n" in _taken(command) else {}
     for key in ("p", "n", "mu", "trunc", "verify", "verfy"):
-        job = {"command": command, "gens": [3, 5], key: True if key == "verify" else 1}
+        job = {"command": command, "gens": [3, 5], **needed, key: True if key == "verify" else 1}
         try:
             _parse_job(json.dumps(job))
         except ValidationError:
             continue
         in_batch.add(key)
     assert in_batch == _taken(command)
+
+
+@pytest.mark.parametrize(
+    "job",
+    [{"command": "membership", "gens": [3, 5], "p": 1}, {"command": "denumerant", "gens": [3, 5]}],
+    ids=["membership", "denumerant"],
+)
+def test_a_job_without_n_exits_2_on_argv_and_in_batch(capsys, monkeypatch, job):
+    """n has no default: argv requires -n, and a batch line without it gets an exit-2 line."""
+    argv = [job["command"], "--gens", "3,5", *(["-p", "1"] if "p" in job else [])]
+    code, out, err = _exit(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "required: -n" in err and "Traceback" not in err
+    line = {"error": f"batch command {job['command']!r} needs ['n']", "exit": 2, "line": 1}
+    assert _batch(monkeypatch, capsys, [json.dumps(job)]) == (2, [line])
 
 
 @pytest.mark.parametrize(

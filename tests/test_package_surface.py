@@ -2,7 +2,9 @@
 
 ``psemigroups.__all__`` must list exactly the public names ``__init__.py``
 binds, and no module may import a name it never uses, so that deleting a
-type leaves no stale export or import behind.  ``core`` alone knows the
+type leaves no stale export or import behind.  Every export is used by
+another module of the package or by the benchmark, so no library-only
+wrapper comes back.  ``core`` alone knows the
 membership-table format: no other module pads or translates a table itself,
 defines a format routine, or imports one from anywhere but ``core``.
 ``apery_set`` alone reads the Apery tuple a ``PSemigroup`` was built with.
@@ -49,6 +51,47 @@ def test_all_lists_exactly_the_public_names_init_binds():
     assert len(exported) == len(set(exported))
     assert sorted(exported) == sorted(public)
     assert [name for name in exported if not hasattr(psemigroups, name)] == []
+
+
+def _references(path: Path) -> set[str]:
+    """The names, attribute names, imported names and non-docstring strings
+    of one file; the benchmark's tracer resolves its targets from strings."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
+    }
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in docstrings:
+                out.add(node.value)
+    return out
+
+
+# The paper's predicates: exported for library use, though every command
+# reads ``classify`` instead.
+PAPER_PREDICATES = {"is_p_symmetric", "is_p_pseudo_symmetric", "is_p_completely_symmetric"}
+
+
+def test_every_export_has_a_caller_outside_init():
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    files = [PACKAGE / m for m in MODULES if m != "__init__.py"] + sorted(bench.glob("*.py"))
+    referenced = set().union(*map(_references, files))
+    unused = [
+        name
+        for name in psemigroups.__all__
+        if not name.startswith("__") and name not in referenced | PAPER_PREDICATES
+    ]
+    assert unused == []
 
 
 @pytest.mark.parametrize("module", MODULES)

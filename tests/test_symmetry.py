@@ -169,7 +169,8 @@ def test_type_one_not_sufficient(build):
 
 def test_pseudo_pf_shape_on_minimal_tuples(build):
     # pseudo-symmetric <=> PF is {frobenius, midpoint} with a gap midpoint,
-    # or {frobenius} with a member midpoint; reliable for minimal tuples
+    # or {frobenius} with a member midpoint: true of the minimal tuples here,
+    # not of every minimal tuple (see CONVERSE_COUNTEREXAMPLES)
     for tup, ps in CORPUS:
         for p in ps:
             S = build(tup, p)
@@ -365,6 +366,73 @@ def test_random_classification_consistency(raw, p):
     assert flags["irreducible"] == pairing
     assert flags["symmetric"] == sym == (pairing and total % 2 == 1)
     assert flags["pseudo_symmetric"] == pseudo == (pairing and total % 2 == 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gen_lists)
+def test_characterizations_at_p_zero(raw):
+    """The classical equivalences: symmetric iff type 1, pseudo-symmetric iff
+    PF = [F/2, F], and for odd F symmetric iff the genus is (F + 1)/2."""
+    from psemigroups import build_psemigroup, validate_generators
+
+    S = build_psemigroup(validate_generators(raw), 0)
+    g, pf = S.frobenius, pseudo_frobenius(S)
+    assert is_p_symmetric(S) == (pf == [g])
+    assert is_p_pseudo_symmetric(S) == (g % 2 == 0 and pf == [g // 2, g])
+    if g % 2:
+        assert is_p_symmetric(S) == (2 * S.gap_count == g + 1)
+
+
+# Minimal tuples that break the converses at p >= 1: type 1 yet neither
+# class; PF = [midpoint, F] yet not pseudo-symmetric; pseudo-symmetric with
+# a gap midpoint that is not pseudo-Frobenius.  The midpoint (F + least)/2
+# is None when F + least is odd.
+CONVERSE_COUNTEREXAMPLES = [
+    ((12, 20, 23, 27), 6, None, [157], False, False),
+    ((6, 20, 21, 25), 4, 85, [85, 89], False, False),
+    ((5, 17, 26), 7, 157, [159], False, True),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(gen_lists, st.integers(min_value=1, max_value=8))
+@example([12, 20, 23, 27], 6)
+@example([6, 20, 21, 25], 4)
+@example([5, 17, 26], 7)
+def test_characterizations_forward_at_positive_p(raw, p):
+    """p-symmetric implies type 1, and p-pseudo-symmetric implies PF within
+    {F, (F + least)/2}; the examples break each converse."""
+    from psemigroups import build_psemigroup, validate_generators
+
+    S = build_psemigroup(validate_generators(raw), p)
+    pf = pseudo_frobenius(S)
+    if is_p_symmetric(S):
+        assert pf == [S.frobenius]
+    if is_p_pseudo_symmetric(S):
+        assert set(pf) <= {S.frobenius, (S.frobenius + S.least_element) // 2}
+
+
+@pytest.mark.parametrize("gens, p, midpoint, pf, symmetric, pseudo", CONVERSE_COUNTEREXAMPLES)
+def test_converses_fail_at_positive_p(build, gens, p, midpoint, pf, symmetric, pseudo):
+    S = build(gens, p)
+    assert S.gens.minimal
+    assert pseudo_frobenius(S) == pf
+    assert (is_p_symmetric(S), is_p_pseudo_symmetric(S)) == (symmetric, pseudo)
+    assert classify(S)["midpoint"] == midpoint
+    assert midpoint is None or not S.contains(midpoint)
+
+
+@pytest.mark.parametrize(
+    "gens, p, frobenius, least, genus",
+    [((9, 23, 26, 28), 2, 103, 72, 88), ((9, 10, 23), 3, 107, 92, 100)],
+)
+def test_genus_identity_converse_fails_on_minimal_tuples(build, gens, p, frobenius, least, genus):
+    """(F + least + 1)/2 gaps, as a p-symmetric semigroup has, without the pairing."""
+    S = build(gens, p)
+    assert S.gens.minimal
+    assert (S.frobenius, S.least_element, S.gap_count) == (frobenius, least, genus)
+    assert 2 * genus == frobenius + least + 1
+    assert not is_p_symmetric(S)
 
 
 def _pf_unfiltered(semigroup):
