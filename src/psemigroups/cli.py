@@ -27,6 +27,7 @@ from .core import (
     GeneratorTuple,
     InternalConsistencyError,
     ValidationError,
+    _digits,
     validate_generators,
 )
 from .enumeration import _member_word, build_psemigroup, denumerant_table, minimal_generators_scan
@@ -91,8 +92,8 @@ def cmd_hilbert(
         "gens": list(gens.elements),
         "p": p,
         "truncation": trunc,
-        "hilbert": list(member_series.coefficients),
-        "gaps_series": list(gap_series.coefficients),
+        "hilbert": member_series.coefficients,
+        "gaps_series": gap_series.coefficients,
     }
 
 
@@ -215,11 +216,20 @@ def _sweep_text(rows: list[dict]) -> str:
     )
 
 
+def _hilbert_json(data: dict) -> str:
+    """``_json`` of the data with each series as a list, written from its bytes."""
+    head = canonical_json({key: data[key] for key in ("gens", "p", "truncation")})
+    return (
+        f'{head[:-1]},"hilbert":[{_digits(data["hilbert"], b",").decode()}],'
+        f'"gaps_series":[{_digits(data["gaps_series"], b",").decode()}]}}\n'
+    )
+
+
 def _hilbert_text(data: dict) -> str:
     return (
         f"truncation {data['truncation']}\n"
-        f"hilbert      {''.join(map(str, data['hilbert']))}\n"
-        f"gaps_series  {''.join(map(str, data['gaps_series']))}\n"
+        f"hilbert      {_digits(data['hilbert']).decode()}\n"
+        f"gaps_series  {_digits(data['gaps_series']).decode()}\n"
     )
 
 
@@ -241,7 +251,7 @@ def _decompose_text(data: dict) -> str:
 COMMANDS = {
     "invariants": (cmd_invariants, {"text": _report_text, "json": _json}),
     "sweep": (cmd_sweep, {"csv": _sweep_csv, "json": _json_rows, "text": _sweep_text}),
-    "hilbert": (cmd_hilbert, {"json": _json, "text": _hilbert_text}),
+    "hilbert": (cmd_hilbert, {"json": _hilbert_json, "text": _hilbert_text}),
     "membership": (cmd_membership, {"text": _membership_text, "json": _json}),
     "denumerant": (cmd_denumerant, {"text": lambda d: d["denumerant"] + "\n", "json": _json}),
     "decompose": (cmd_decompose, {"text": _decompose_text, "json": _json}),

@@ -5,6 +5,11 @@ the Apery factorization, in which each element w of an Apery tuple modulo
 a contributes x**w / (1 - x**a).  The closed rational form of an
 arithmetic triple is that factorization over the closed Apery families of
 ``closed_forms``.
+
+Every series here has 0/1 coefficients, so it is held in the membership
+table's format: byte n of ``PowerSeries.coefficients`` is c_n, and
+``list(series.coefficients)`` gives the coefficients as ints.  The series
+stays bytes from the build to the output, where ``core._digits`` writes it.
 """
 
 from __future__ import annotations
@@ -17,9 +22,12 @@ from .closed_forms import _arith_apery
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Integer coefficients c_0..c_N of a series truncated at degree N."""
+    """Coefficients c_0..c_N of a 0/1 series truncated at degree N.
 
-    coefficients: tuple[int, ...]
+    Byte n of ``coefficients`` is c_n, as in a membership table.
+    """
+
+    coefficients: bytes
 
     @property
     def truncation(self) -> int:
@@ -35,13 +43,13 @@ def _check_truncation(n: int) -> None:
 def hilbert_direct(semigroup: PSemigroup, truncation: int) -> PowerSeries:
     """Membership indicator series straight from the table."""
     _check_truncation(truncation)
-    return PowerSeries(tuple(_window(semigroup.membership, 0, truncation + 1)))
+    return PowerSeries(_window(semigroup.membership, 0, truncation + 1))
 
 
 def gaps_series(semigroup: PSemigroup, truncation: int) -> PowerSeries:
     """Indicator series of the non-members; complements hilbert_direct."""
     _check_truncation(truncation)
-    return PowerSeries(tuple(_window(semigroup.membership, 0, truncation + 1).translate(_FLIP)))
+    return PowerSeries(_window(semigroup.membership, 0, truncation + 1).translate(_FLIP))
 
 
 def hilbert_from_apery(ap: tuple[int, ...], truncation: int) -> PowerSeries:
@@ -55,7 +63,7 @@ def hilbert_from_apery(ap: tuple[int, ...], truncation: int) -> PowerSeries:
     coeffs = bytearray(truncation + 1)
     for m in ap:
         coeffs[m::a] = b"\x01" * len(range(m, truncation + 1, a))
-    return PowerSeries(tuple(coeffs))
+    return PowerSeries(bytes(coeffs))
 
 
 def arith_hilbert_closed(a: int, d: int, p: int, truncation: int) -> PowerSeries:

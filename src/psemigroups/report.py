@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import compress, repeat
 from math import prod
-from operator import add, mul
+from operator import mul
 
 from .core import (
     _FLIP, GeneratorTuple, InternalConsistencyError, PSemigroup,
@@ -67,8 +67,8 @@ def check_series(semigroup: PSemigroup, direct: PowerSeries, psi: PowerSeries) -
     """The ``--verify`` checks behind the series of ``semigroup``.
 
     The membership bytes must equal the count table's, the Hilbert series
-    ``direct`` its Apery factorization, and ``direct`` plus the gap series
-    ``psi`` the all-ones series, all up to the truncation of ``direct``.
+    ``direct`` its Apery factorization up to its truncation, and ``direct``
+    plus the gap series ``psi`` the all-ones series of that truncation.
     """
     gens, p = semigroup.gens, semigroup.p
     # the count table adds up to ``frontier`` entries once per generator
@@ -77,7 +77,9 @@ def check_series(semigroup: PSemigroup, direct: PowerSeries, psi: PowerSeries) -
         _mismatch("membership", "Apery tuple", "count table", gens, p)
     if hilbert_from_apery(apery_set(semigroup), direct.truncation) != direct:
         _mismatch("Hilbert factorization", "apery series", "direct series", gens, p)
-    if list(map(add, direct.coefficients, psi.coefficients)) != [1] * len(direct.coefficients):
+    # H + Psi = 1 at every coefficient iff H is all 0/1 bytes and Psi flips it
+    h = direct.coefficients
+    if h.translate(None, b"\x00\x01") or h.translate(_FLIP) != psi.coefficients:
         _mismatch("series partition", "H + Psi", "all-ones", gens, p)
 
 

@@ -1,10 +1,6 @@
-import os
-import subprocess
-import sys
 import tracemalloc
 from functools import reduce
 from math import gcd
-from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -29,7 +25,6 @@ from psemigroups import (
     valuation_lengths,
     valuation_lengths_scan,
 )
-import psemigroups
 from psemigroups import enumeration
 from psemigroups.cli import main
 from psemigroups.decompose import FiniteSemigroup, irreducible_decomposition
@@ -390,33 +385,7 @@ def test_build_memory_stays_near_its_planes():
     assert S.membership == membership_oracle(gens, 1, S.frontier)
 
 
-# The child reads its own VmHWM: a child's ru_maxrss on Linux starts from
-# the high-water mark of the process that spawned it, here all of pytest.
-_PEAK_RSS = """
-import sys
-from psemigroups.cli import main
-assert main(sys.argv[1:]) == 0
-with open("/proc/self/status") as status:
-    sys.stderr.write(next(line for line in status if line.startswith("VmHWM")))
-"""
-
-
-def _peak_rss_kib(argv):
-    """The peak resident set of one ``psg`` process in KiB, its output discarded."""
-    src = str(Path(psemigroups.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS, *argv],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        check=True,
-    )
-    return int(done.stderr.split()[-2])
-
-
-@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
-def test_scale_report_peak_rss_stays_near_its_planes():
+def test_scale_report_peak_rss_stays_near_its_planes(peak_rss_kib):
     """A whole scale ``invariants`` process grows by under 16 bytes per frontier entry.
 
     Its peak was 22.8 MB against 17.1 MB for ``--gens 3,5``, at a frontier
@@ -426,7 +395,7 @@ def test_scale_report_peak_rss_stays_near_its_planes():
     raw, p = (5003, 6007, 7001, 8009), 20
     frontier = build_psemigroup(validate_generators(list(raw)), p).frontier
     job = ["invariants", "--gens", ",".join(map(str, raw)), "-p", str(p), "--json"]
-    grown = _peak_rss_kib(job) - _peak_rss_kib(["invariants", "--gens", "3,5", "--json"])
+    grown = peak_rss_kib(job) - peak_rss_kib(["invariants", "--gens", "3,5", "--json"])
     assert grown * 1024 < 16 * frontier
 
 
