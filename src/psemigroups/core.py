@@ -8,12 +8,12 @@ share across threads without synchronization.
 Only this module knows the table format.  Byte n of a membership table is 1
 iff the integer n is a member, and every integer past the table is a
 member.  The package has one word format, bit n for integer n, shared by the
-membership build, ``pf_via_gap_maximals`` and every word of the
-decomposition; ``_bits`` turns bytes into such a word and ``_table_of`` turns
-it back.  ``_digits`` writes a table, or any 0/1 series held in the same
-format, as ASCII digits for output.  ``_window``, ``_least_per_class`` and
-``_least_positive`` count the members past a table, so no other module pads
-one.
+membership build, the minimal generators' sumset, ``pf_via_gap_maximals``
+and every word of the decomposition; ``_bits`` turns bytes into such a word
+and ``_table_of`` turns it back.  ``_digits`` writes a table, or any 0/1
+series held in the same format, as ASCII digits for output.  ``_window``,
+``_least_per_class`` and ``_least_positive`` count the members past a table,
+so no other module pads one.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 class ValidationError(ValueError):
@@ -163,9 +163,6 @@ class GeneratorTuple:
 
     elements: tuple[int, ...]
     minimal: bool = True
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -27,7 +27,7 @@ from math import factorial, prod
 
 from .core import (
     TABLE_LIMIT_ENV, _FLIP, GeneratorTuple, PSemigroup, TableLimitError, ValidationError,
-    _check_table_size, _least_per_class, _least_positive, _table_cap, _table_of, _window,
+    _bits, _check_table_size, _least_per_class, _least_positive, _table_cap, _table_of, _window,
 )
 from .apery import apery_set
 
@@ -54,15 +54,19 @@ def denumerant_oracle(gens: GeneratorTuple, n: int) -> int:
     """Representation count by plain recursive enumeration.
 
     Structurally independent of the table recurrence (descends over
-    generators, largest first, no shared state); intended for tests.  The
-    generators above n take no part in a representation of n, so the
-    recursion, one level per generator, runs over the others only.
+    generators, largest first, no shared state); intended for tests and
+    ``--verify``.  The generators above n take no part in a representation
+    of n, so the recursion, one level per generator, runs over the others
+    only.  Its loop runs at most prod(n // a + 1) times over those but the
+    least, which the size cap bounds.  Each such a <= n at least doubles
+    that product, so the depth is at most log2 of the cap plus one.
     """
     if n < 0:
         raise ValidationError("n must be non-negative")
     desc = sorted((a for a in gens.elements if a <= n), reverse=True)
     if not desc:
         return int(n == 0)
+    _check_table_size(prod(n // a + 1 for a in desc[:-1]), "the recursive denumerant oracle")
     last = len(desc) - 1
 
     def count(i: int, m: int) -> int:
@@ -204,11 +208,12 @@ def membership_oracle(gens: GeneratorTuple, p: int, limit: int) -> bytes:
     Shares nothing with the bit planes of ``build_psemigroup``.  Run up to
     the frontier it must equal ``PSemigroup.membership``, whose last a1
     entries are all members: the run that certifies every larger integer,
-    since adding a1 never removes a representation.
+    since adding a1 never removes a representation.  The count table adds
+    up to ``limit`` entries once per generator, which the size cap bounds.
     """
     if limit < 0:
         raise ValidationError("table limit must be non-negative")
-    _check_table_size(limit, "the membership oracle")
+    _check_table_size(limit * len(gens), "the count-table membership oracle")
     if limit == 0:
         return b""
     counts = _count_table(gens.elements, limit - 1)
@@ -254,12 +259,11 @@ def _generator_ranges(semigroup: PSemigroup) -> list[range]:
     pos = _positive_apery(semigroup)
     low = min(pos)
     width = max(pos) - low + 1
-    # set the bits in bytes: an OR per element would copy the word a1 times
-    packed = bytearray((width + 7) // 8)
+    # one byte per offset, one conversion: an OR per element would copy the word a1 times
+    offsets = bytearray(width)
     for m in pos:
-        t = m - low
-        packed[t >> 3] |= 1 << (t & 7)
-    word = int.from_bytes(packed, "little")
+        offsets[m - low] = 1
+    word = _bits(offsets)
     window = (1 << width) - 1
     sums = 0
     for m in pos:

@@ -22,6 +22,19 @@ pseudo-Frobenius number x therefore has x + t inside, hence every x + kt
 inside: it is the top gap of its class modulo t.  The two gap-based oracles
 test just these candidates, at most t of them, found by one word AND.
 
+The pairing bounds the pseudo-Frobenius set.  At p >= 1, 0 is a gap, so F
+>= 0, and F is pseudo-Frobenius: every x > F is a member.  Let x < F be any
+other gap, and not an integral midpoint.  Then 0 <= x < total, so the
+pairing puts total - x inside.  The shift t = F - x >= 1 has least + t =
+total - x inside, but x + t = F is a gap, so x is not pseudo-Frobenius.
+Hence p-symmetric (no midpoint) gives PF = {F}, type 1, and
+p-pseudo-symmetric gives PF within {F, total / 2} = {F, (F + least)/2}.
+At p = 0 the converses hold too, the classical characterizations; at p >=
+1 they fail.  (12,20,23,27) at p = 6 has type 1 (PF {157}) and is neither;
+(6,20,21,25) at p = 4 has PF {85, 89} = {(F + least)/2, F} and is not
+p-pseudo-symmetric; and (5,17,26) at p = 7 is p-pseudo-symmetric with its
+midpoint 157 a gap, yet PF = {159}, so the inclusion can be strict.
+
 The window pairing and the two gap-based oracles read only ``membership``,
 ``frobenius``, ``least_element`` and ``modulus``, so the ordinary
 semigroups of the decomposition (``FiniteSemigroup``, least element 0,

@@ -715,7 +715,7 @@ def _flip_bit_zero(word: int) -> int:
         ("report", "minimal_generators_min_plus", lambda gens: gens[:-1], "invariants", "p=1"),
         ("report", "lift_invariants", lambda t: (t[0] + 1, *t[1:]), "invariants", "p=1"),
         ("cli", "minimal_generators_scan", lambda gens: gens[:-1], "decompose", "p=1"),
-        ("cli", "_member_word", _flip_bit_zero, "decompose", "p=1"),
+        ("report", "_member_word", _flip_bit_zero, "decompose", "p=1"),
     ],
 )
 def test_verify_cross_checks_exit_1_naming_gens_and_p(
@@ -781,12 +781,90 @@ def test_verify_picks_the_cheaper_generator_oracle(monkeypatch, gens, p, chosen)
 
 def test_component_span_check_reads_a_gap_at_its_limit():
     """<3, 5> agrees with <3, 5, 7> below 7, the last integer the check reads."""
-    from psemigroups.cli import _spans
+    from psemigroups.report import _spans
     from psemigroups.decompose import FiniteSemigroup
 
     component = FiniteSemigroup.from_generators([3, 5, 7])
     assert _spans([3, 5, 7], component)
     assert not _spans([3, 5], component)
+
+
+@pytest.mark.parametrize("listed", [[3, 6], [0, 3, 5], [4]], ids=["gcd-3", "zero", "one"])
+def test_component_span_check_fails_a_list_that_does_not_validate(capsys, monkeypatch, listed):
+    """The check answers False, and ``decompose --verify`` exits 1 naming the list."""
+    from psemigroups import cli
+    from psemigroups.decompose import FiniteSemigroup
+    from psemigroups.report import _spans
+
+    assert not _spans(listed, FiniteSemigroup.from_generators([3, 5, 7]))
+    monkeypatch.setattr(cli, "minimal_generators_scan", lambda component: listed)
+    code, out, err = run(capsys, ["decompose", "--gens", "3,5", "-p", "1", "--verify"])
+    assert (code, out) == (1, "")
+    assert f"generators {listed} do not span" in err and "Traceback" not in err
+
+
+def test_invariants_verify_runs_the_sumset_once_per_job(capsys, monkeypatch):
+    """The embedding dimension is the one sumset run; --verify checks its count
+    against the generator oracle and runs no second sumset."""
+    from psemigroups import enumeration
+
+    calls = []
+    real = enumeration._generator_ranges
+    monkeypatch.setattr(
+        enumeration, "_generator_ranges", lambda semigroup: calls.append(1) or real(semigroup)
+    )
+    jobs = [("6,17,28", "5"), ("503,607,701", "0"), ("3,5", "1"), ("4,6,9", "2")]
+    for gens, p in jobs:
+        assert run(capsys, ["invariants", "--gens", gens, "-p", p, "--verify"])[0] == 0
+    assert len(calls) == len(jobs)
+
+
+# Input errors of the command line that no other test reaches, each with the
+# batch line that gives the same job, where one can: a batch job's p is one
+# integer, so it cannot give a range.
+@pytest.mark.parametrize(
+    "argv, cap, words, job, batch_words",
+    [
+        (
+            ["invariants", "--gens", "3,5", "-p", "0..2"],
+            None,
+            "this command expects a single p, not a range",
+            None,
+            None,
+        ),
+        (
+            ["invariants", "--gens", "3,x"],
+            None,
+            "--gens expects comma-separated integers, got '3,x'",
+            {"gens": [3, "x"]},
+            "generator 'x' is not an integer",
+        ),
+        (
+            ["denumerant", "--gens", "3,5", "-n", "-4"],
+            None,
+            "n must be non-negative",
+            {"command": "denumerant", "gens": [3, 5], "n": -4},
+            "n must be non-negative",
+        ),
+        (
+            ["invariants", "--gens", "3,5"],
+            "0",
+            "PSG_MAX_TABLE must be positive",
+            {"gens": [3, 5]},
+            "PSG_MAX_TABLE must be positive",
+        ),
+    ],
+    ids=["p-range", "gens-not-integer", "negative-n", "cap-zero"],
+)
+def test_input_errors_exit_2_with_their_message(
+    capsys, monkeypatch, argv, cap, words, job, batch_words
+):
+    if cap is not None:
+        monkeypatch.setenv("PSG_MAX_TABLE", cap)
+    assert _exit(capsys, argv) == (2, "", f"error: {words}\n")
+    if job is not None:
+        line = {"error": batch_words, "exit": 2, "line": 1}
+        assert _batch(monkeypatch, capsys, [json.dumps(job)]) == (2, [line])
 
 
 def _exit(capsys, argv):

@@ -290,17 +290,33 @@ def test_denumerant_table_limit(monkeypatch):
 
 
 def test_membership_oracle_limit(monkeypatch):
-    # the oracle's count table has one entry per integer below the limit
+    # the oracle's count table adds one entry per integer below the limit,
+    # once per generator
     monkeypatch.setenv("PSG_MAX_TABLE", "1000")
     gens = validate_generators([3, 5])
-    with pytest.raises(TableLimitError, match="membership oracle"):
+    with pytest.raises(TableLimitError, match="the count-table membership oracle needs 400000"):
         membership_oracle(gens, 1, 200000)
     with pytest.raises(TableLimitError):
-        membership_oracle(gens, 1, 1001)
+        membership_oracle(gens, 1, 501)
     S = build_psemigroup(gens, 1)
-    table = membership_oracle(gens, 1, 1000)
-    assert len(table) == 1000
-    assert table == S.membership.ljust(1000, b"\x01")
+    table = membership_oracle(gens, 1, 500)
+    assert len(table) == 500
+    assert table == S.membership.ljust(500, b"\x01")
+
+
+def test_denumerant_oracle_bounds_its_own_loop(monkeypatch):
+    """The loop count, prod(n // a + 1) over the generators <= n but the least,
+    is checked against the cap by the oracle itself, not only by its callers."""
+    monkeypatch.setenv("PSG_MAX_TABLE", "1000")
+    start = perf_counter()
+    with pytest.raises(TableLimitError, match="the recursive denumerant oracle needs 2669334 "):
+        denumerant_oracle(validate_generators([1, 2, 3]), 4000)
+    assert perf_counter() - start < 0.5
+    # (6, 17, 28) at n = 900 loops (900 // 28 + 1) * (900 // 17 + 1) = 1749 times
+    gens = validate_generators([6, 17, 28])
+    with pytest.raises(TableLimitError, match="needs 1749 "):
+        denumerant_oracle(gens, 900)
+    assert denumerant_oracle(gens, 500) == denumerant_table(gens, 500)[500]
 
 
 SCALE_CASE = ((1009, 1201, 1499), 50)

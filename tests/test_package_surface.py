@@ -199,3 +199,66 @@ def test_verify_repeats_no_check_the_default_path_makes():
     ]
     assert report_callers == ["build_invariant_report"]
     assert "verify_decomposition" not in {name for name, _ in _imports(_tree("cli.py"))}
+
+
+def test_cli_borrows_no_private_name_but_from_core():
+    """Every kernel ``--verify`` runs is called from ``report``, so ``cli``
+    needs no private name of another module."""
+    borrowed = [
+        (node.module, alias.name)
+        for node in ast.walk(_tree("cli.py"))
+        if isinstance(node, ast.ImportFrom) and node.module not in ("core", "__future__")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert borrowed == []
+
+
+def test_report_leaves_each_size_check_to_its_oracle():
+    """The count oracles bound their own work; ``report`` checks only the
+    estimates of the oracles it chooses between."""
+    calls = [
+        node.lineno
+        for node in ast.walk(_tree("report.py"))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_table_size"
+    ]
+    assert calls == []
+
+
+# Two modules for ``tools/size.py``: docstrings, comments and layout tokens
+# are left out, and every other string is one token.
+SIZE_FIXTURE = {
+    "a.py": (
+        '"""Module docstring."""\n'
+        "# a comment\n"
+        "\n"
+        "x = 1\n"
+        "\n"
+        "\n"
+        "def f():\n"
+        '    """Function docstring."""\n'
+        '    y = """a string\n'
+        '    over two lines"""\n'
+        '    "a string statement, not a docstring"\n'
+        "    return y\n"
+    ),
+    "b.py": "class C:\n    'Class docstring.'\n    z = 'one'  # trailing comment\n",
+}
+
+
+def test_size_tool_counts_code_tokens_per_module_and_in_total(tmp_path, capsys):
+    import importlib.util
+
+    tool = Path(__file__).resolve().parents[1] / "tools" / "size.py"
+    spec = importlib.util.spec_from_file_location("size_tool", tool)
+    size = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(size)
+    for name, text in SIZE_FIXTURE.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert size.main([str(tmp_path)]) == 0
+    header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["module", "lines", "tokens"]
+    # a.py: x = 1 (3), def f ( ) : (5), y = <string> (3), <string> (1), return y (2)
+    # b.py: class C : (3), z = 'one' (3)
+    assert rows == [["a.py", "12", "14"], ["b.py", "3", "6"], ["total", "15", "20"]]
+    assert [sum(int(row[i]) for row in rows[:-1]) for i in (1, 2)] == [15, 20]
