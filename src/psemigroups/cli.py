@@ -295,6 +295,25 @@ def _parameters(function) -> dict[str, bool]:
     }
 
 
+_KINDS = {key: kind for key, (kind, _, _) in _FIELDS.items()}
+
+
+def _check_types(fields: dict) -> None:
+    """Reject the first field, in ``_FIELDS`` order, whose JSON type is wrong."""
+    for key, kind in _KINDS.items():
+        if key in fields and type(fields[key]) is not kind:
+            name = "an integer" if kind is int else "true or false"
+            raise ValidationError(f"batch job field {key!r} must be {name}, got {fields[key]!r}")
+
+
+@functools.cache
+def _job_fields(command: str) -> tuple[frozenset[str], list[str]]:
+    """The fields a batch job of ``command`` may give, and those it must."""
+    taken = dict(_parameters(COMMANDS[command][0]))
+    del taken["gens"]  # every job gives it, and it is checked first
+    return frozenset(taken), [key for key, required in taken.items() if required]
+
+
 def _parse_job(line: str) -> tuple[str, GeneratorTuple, dict]:
     """The command, generators and fields of one batch line, or ValidationError."""
     try:
@@ -305,28 +324,27 @@ def _parse_job(line: str) -> tuple[str, GeneratorTuple, dict]:
         raise ValidationError("batch job is nested too deeply to parse")
     if not isinstance(job, dict):
         raise ValidationError("batch job must be a JSON object")
-    command = job.get("command", "invariants")
+    command = job.pop("command", "invariants")
     if not isinstance(command, str) or command not in COMMANDS:
         raise ValidationError(f"unknown batch command {command!r}")
     if not isinstance(job.get("gens"), list):
         raise ValidationError("batch job needs a 'gens' list")
-    gens = validate_generators(job["gens"])
-    for key, (kind, _, _) in _FIELDS.items():
-        if key in job and type(job[key]) is not kind:
-            name = "an integer" if kind is int else "true or false"
-            raise ValidationError(f"batch job field {key!r} must be {name}, got {job[key]!r}")
-    taken = _parameters(COMMANDS[command][0])
-    untaken = job.keys() - taken - {"command"}
-    if untaken:
-        raise ValidationError(f"batch command {command!r} does not take {sorted(untaken)}")
-    missing = [key for key, required in taken.items() if required and key not in job]
+    gens = validate_generators(job.pop("gens"))
+    for key, value in job.items():
+        if type(value) is not _KINDS.get(key):
+            _check_types(job)
+            break
+    takes, needs = _job_fields(command)
+    if not takes.issuperset(job):
+        untaken = sorted(job.keys() - takes)
+        raise ValidationError(f"batch command {command!r} does not take {untaken}")
+    missing = [key for key in needs if key not in job]
     if missing:
         raise ValidationError(f"batch command {command!r} needs {missing}")
-    fields = {key: job[key] for key in _FIELDS if key in job}
-    if "p" in fields:
-        p = fields["p"]
-        fields["p"] = _p_values(p, p, str(p), command)
-    return command, gens, fields
+    if "p" in job:
+        p = job["p"]
+        job["p"] = _p_values(p, p, str(p), command)
+    return command, gens, job
 
 
 def _answer(command: str, gens: GeneratorTuple, fields: dict, fmt: str = "json") -> str:

@@ -11,7 +11,8 @@ member.  The package has one word format, bit n for integer n, shared by the
 membership build, the minimal generators' sumset, ``pf_via_gap_maximals``
 and every word of the decomposition; ``_bits`` turns bytes into such a word
 and ``_table_of`` turns it back.  ``_digits`` writes a table, or any 0/1
-series held in the same format, as ASCII digits for output.  ``_window``,
+series held in the same format, as ASCII digits for output, and
+``_gap_sum`` sums its non-members with weighted popcounts.  ``_window``,
 ``_least_per_class`` and ``_least_positive`` count the members past a table,
 so no other module pads one.
 """
@@ -129,6 +130,37 @@ def _bits(table: bytes) -> int:
 def _table_of(word: int) -> bytes:
     """Byte n is 1 iff bit n of ``word`` is set, up to its highest set bit."""
     return format(word, "b").encode()[::-1].translate(_FROM_DIGITS)
+
+
+_GAP_DIGITS = bytes.maketrans(b"\x00\x01", b"10")
+_CHUNK = 4096
+# Entry k has bit i set iff bit k of i is, for i < _CHUNK: built once, 6 KB in all.
+_INDEX_BITS = tuple(
+    int(("1" * (1 << k) + "0" * (1 << k)) * (_CHUNK >> (k + 1)), 2)
+    for k in range((_CHUNK - 1).bit_length())
+)
+
+
+def _gap_sum(table: bytes) -> int:
+    """The sum of the non-members of ``table``: the indices of its zero bytes.
+
+    The table is read in chunks of _CHUNK bytes.  With G the word of the
+    zero bytes of the chunk from ``base``, bit i for byte base + i, the chunk
+    adds base * popcount(G) + sum_k 2**k * popcount(G & I_k), where I_k is
+    entry k of ``_INDEX_BITS``: every offset i is the sum of the 2**k whose
+    bit k it has.  A chunk of n bytes needs I_k only for k below
+    (n - 1).bit_length(), so a small table takes a few ANDs.  No Python
+    object per gap, and no mask as long as the table.
+    """
+    digits = table.translate(_GAP_DIGITS)
+    total = 0
+    for base in range(0, len(digits), _CHUNK):
+        chunk = digits[base : base + _CHUNK]
+        gaps = int(chunk[::-1], 2)
+        total += base * gaps.bit_count()
+        for k in range((len(chunk) - 1).bit_length()):
+            total += (gaps & _INDEX_BITS[k]).bit_count() << k
+    return total
 
 
 def _window(table: bytes, start: int, stop: int) -> bytes:

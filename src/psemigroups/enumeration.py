@@ -10,19 +10,23 @@ the word certifies it.  The membership bytes, the Frobenius number, the
 Apery tuple modulo a1 = min(gens) and the least element all follow.  The
 minimal generators come from one sumset word of the least positive member
 of each class mod a1: about a1 / 2 shift-ORs of words of at most width
-bits, where width is one more than the spread of those members.  The
-coin-counting table survives as the denumerant evaluator and, run up to the
-frontier, as the membership oracle for tests and ``--verify``; it shares
-nothing with the planes.  The minimal generators have two oracles, each
-sharing no kernel with the sumset: the definitional scan, which reads the
-membership bytes and also serves the decomposition components (they carry
-no Apery tuple), and the a1 x a1 min-plus square of the least positive
-members per class, whose cost does not grow with the Frobenius number.
+bits, where width is one more than the spread of those members.  That word
+and the word of those members, each closed under adding a1 by doubling
+shifts, give the generators as the members that are not sums, one AND-NOT:
+their count is a ``bit_count`` and their list one pass over the word's
+bytes, with no Python step per class or per generator.  The coin-counting
+table survives as the denumerant evaluator and, run up to the frontier, as
+the membership oracle for tests and ``--verify``; it shares nothing with the
+planes.  The minimal generators have two oracles, each sharing no kernel
+with the sumset: the definitional scan, which reads the membership bytes
+and also serves the decomposition components (they carry no Apery tuple),
+and the a1 x a1 min-plus square of the least positive members per class,
+whose cost does not grow with the Frobenius number.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from math import factorial, prod
 
 from .core import (
@@ -81,6 +85,21 @@ def denumerant_oracle(gens: GeneratorTuple, n: int) -> int:
     return count(0, n)
 
 
+def _closed(word: int, a: int, mask: int) -> int:
+    """``word`` closed under adding ``a``, cut to the bits of ``mask``.
+
+    One shift-OR per doubling: after the shifts by a, 2a, ..., 2**j * a, bit
+    n is set iff bit n - i * a was for some 0 <= i < 2**(j + 1).  ``word``
+    must lie within ``mask``, a run of low bits.
+    """
+    limit = mask.bit_length()
+    s = a
+    while s < limit:
+        word |= (word << s) & mask
+        s += s
+    return word
+
+
 def _member_word(elements: tuple[int, ...], p: int, limit: int) -> int:
     """The word whose bit n (n < limit) is set iff d(n) > p.
 
@@ -96,10 +115,7 @@ def _member_word(elements: tuple[int, ...], p: int, limit: int) -> int:
     if not p:
         word = mask & 1
         for a in elements:
-            s = a
-            while s < limit:
-                word |= (word << s) & mask
-                s += s
+            word = _closed(word, a, mask)
         return word
     planes = [mask & 1] + [0] * ((p + 1).bit_length() - 1)
     for a in elements:
@@ -236,29 +252,32 @@ def _positive_apery(semigroup: PSemigroup) -> list[int]:
     return [m if m else a1 for m in apery_set(semigroup)]
 
 
-def _generator_ranges(semigroup: PSemigroup) -> list[range]:
-    """The minimal generators of the members with 0 adjoined, one range per class.
+def _generator_word(semigroup: PSemigroup) -> tuple[int, int]:
+    """The minimal generators of the members with 0 adjoined, as one word.
 
-    With pos[r] the least positive member of class r mod a1, the sums of two
-    positive members in class r are exactly the integers of that class from
-    the least pos[i] + pos[j] in it on, because every class is closed under
-    adding a1.  The minimal generators of class r are the members below that
-    bound.
+    Returns (word, l): bit i of ``word`` is set iff l + i is a minimal
+    generator, where l = min(pos) and pos[r] is the least positive member of
+    class r mod a1.  The sums of two positive members in class r are exactly
+    the integers of that class from the least pos[i] + pos[j] in it on,
+    because every class is closed under adding a1.  The minimal generators
+    of class r are its members below that bound.
 
-    The bounds come from one sumset word.  Let l = min(pos) and M = max(pos).
-    Every sum is at least 2l, and class r holds the sum pos[r - l] + l <= M +
-    l, so its least sum lies in the window [2l, M + l], offsets 0..width - 1
-    from 2l with width = M - l + 1.  The word of the offsets pos[i] - l,
-    shifted up by d = pos[j] - l and cut to the window, marks every sum
-    pos[i] + pos[j] there.  A shift with 2d >= width reaches, inside the
-    window, only offsets u < d, whose own shift by u marked those sums
-    already, so it is skipped.  The bound of class r is the first marked bit
-    of its class.
+    Let M = max(pos).  Every sum is at least 2l, and class r holds the sum
+    pos[r - l] + l <= M + l, so its least sum lies in the window [2l, M + l],
+    offsets 0..width - 1 from 2l with width = M - l + 1.  The word of the
+    offsets pos[i] - l, shifted up by d = pos[j] - l and cut to the window,
+    marks every sum pos[i] + pos[j] there.  A shift with 2d >= width
+    reaches, inside the window, only offsets u < d, whose own shift by u
+    marked those sums already, so it is skipped.  Closed under adding a1,
+    that word marks every sum in the window; the offset word closed the same
+    way over [l, M + l] marks every positive member there.  The generators
+    are the members there that are not sums: each lies below the least sum
+    of its class, so below M + l.
     """
     a1 = semigroup.gens.least
     pos = _positive_apery(semigroup)
-    low = min(pos)
-    width = max(pos) - low + 1
+    low, high = min(pos), max(pos)
+    width = high - low + 1
     # one byte per offset, one conversion: an OR per element would copy the word a1 times
     offsets = bytearray(width)
     for m in pos:
@@ -270,26 +289,25 @@ def _generator_ranges(semigroup: PSemigroup) -> list[range]:
         d = m - low
         if 2 * d < width:
             sums |= (word << d) & window
-    # every class has a sum in the window, so none is read past the word
-    least = _least_per_class(_table_of(sums), a1)
-    base = 2 * low
-    return [range(pos[r], base + least[(r - base) % a1], a1) for r in range(a1)]
+    members = _closed(word, a1, (1 << (high + 1)) - 1)
+    return members & ~(_closed(sums, a1, window) << low), low
 
 
 def minimal_generators(semigroup: PSemigroup) -> list[int]:
     """Minimal monoid generators of the members with 0 adjoined, ascending."""
-    return sorted(chain.from_iterable(_generator_ranges(semigroup)))
+    word, low = _generator_word(semigroup)
+    return list(compress(count(low), _table_of(word)))
 
 
 def embedding_dimension(semigroup: PSemigroup) -> int:
     """The number of minimal generators, counted without listing them."""
-    return sum(map(len, _generator_ranges(semigroup)))
+    return _generator_word(semigroup)[0].bit_count()
 
 
 def _min_plus_ranges(semigroup: PSemigroup) -> list[range]:
-    """The ranges of ``_generator_ranges``, bounded by the min-plus square.
+    """The minimal generators of each class r, from pos[r] up to its least sum.
 
-    The bound of class r is the least pos[i] + pos[j] with i + j = r mod
+    The least sum of class r is the least pos[i] + pos[j] with i + j = r mod
     a1, pos the least positive member per class.  Entry s of ``least``
     holds that min over the pairs i <= j with i + j = s, before the
     reduction mod a1; entry 2 * a1 - 1 has no pair and keeps the bound

@@ -3,31 +3,34 @@
 The report always cross-checks the Apery-formula Frobenius number, genus
 and gap sum against the ones read off the membership bytes (cheap, and
 provably equal); genus and gap sum are entries 0 and 1 of the expansion that
-gives every power sum.  Tuple and bytes come from the same bit-plane build,
-so this checks the formulas, not the build; ``verify=True`` adds the heavier
-re-derivations, each sharing nothing with the planes: membership from the
-count table, the minimal generators from the cheaper of the min-plus square
-and the scan (counted against the embedding dimension), the scanned
-valuation lengths, brute-force power sums over the gap list (one running
-product per exponent), three-way pseudo-Frobenius agreement, the Hilbert
-factorization identity, the gcd-reduction lift of a separately built
-reduced tuple, and the matching closed forms when the generator tuple has
-one.  Each oracle whose work can outgrow the membership table has it
-estimated and checked against the size cap before it runs; the two count
-oracles check their own.  ``check_series`` and ``check_denumerant`` are the
-checks the ``hilbert``, ``membership`` and ``denumerant`` commands share
-with it, and ``check_components`` is the ``decompose`` one: this module
-holds every ``--verify`` check.
+gives every power sum.  The bytes give the genus as a count of zero bytes
+and the gap sum as weighted popcounts of 4,096-bit words (``_gap_sum``),
+with no Python object per gap.  Tuple and bytes come from the same
+bit-plane build, so this checks the formulas, not the build; ``verify=True``
+adds the heavier re-derivations, each sharing nothing with the planes:
+membership from the count table, the minimal generators from the cheaper of
+the min-plus square and the scan (counted against the embedding dimension),
+the scanned valuation lengths, brute-force power sums over the gap list
+(one running product per exponent), three-way pseudo-Frobenius agreement,
+the symmetry flags against that PF set, the Hilbert factorization identity,
+the gcd-reduction lift of a separately built reduced tuple, and the
+matching closed forms when the generator tuple has one.  Each oracle whose
+work can outgrow the membership table has it estimated and checked against
+the size cap before it runs; the two count oracles check their own.
+``check_series`` and ``check_denumerant`` are the checks the ``hilbert``,
+``membership`` and ``denumerant`` commands share with it, and
+``check_components`` is the ``decompose`` one: this module holds every
+``--verify`` check.
 """
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import repeat
 from operator import mul
 
 from .core import (
     _FLIP, GeneratorTuple, InternalConsistencyError, PSemigroup, ValidationError,
-    _check_work, _least_positive, validate_generators,
+    _check_work, _gap_sum, _least_positive, validate_generators,
 )
 from .enumeration import (
     _member_word,
@@ -186,6 +189,21 @@ def _verify_extras(semigroup: PSemigroup, report: dict) -> None:
     via_definition, via_gaps = pseudo_frobenius(semigroup), pf_via_gap_maximals(semigroup)
     if not (pf == via_definition == via_gaps):
         _mismatch("pseudo-Frobenius sets", pf, (via_definition, via_gaps), gens, p)
+    # The pairing flags against the PF set, two kernels over one build: at
+    # p = 0 symmetric iff PF = [F] (N, with no gap, is symmetric) and
+    # pseudo-symmetric iff PF = [F/2, F]; at p >= 1 only the forward
+    # directions hold (proved in the ``symmetry`` docstring).
+    flags, frob = report["classification"], report["frobenius"]
+    total = frob + report["ell0"]
+    claimed = flags["symmetric"], flags["pseudo_symmetric"]
+    symmetric = pf == [frob] or frob < 0
+    halves = total % 2 == 0 and set(pf) <= {total // 2, frob}
+    if p == 0:
+        holds = claimed == (symmetric, halves and len(pf) == 2)
+    else:
+        holds = (symmetric or not claimed[0]) and (halves or not claimed[1])
+    if not holds:
+        _mismatch("symmetry flags against the PF set", claimed, pf, gens, p)
     trunc = 2 * (semigroup.frobenius + 1) + gens.least
     check_series(semigroup, hilbert_direct(semigroup, trunc), gaps_series(semigroup, trunc))
     got = (report["frobenius"], report["genus"], report["sylvester_sum"])
@@ -231,7 +249,7 @@ def build_invariant_report(
     enum_genus = table.count(0)
     if genus != enum_genus:
         _mismatch("genus", genus, enum_genus, gens, p)
-    gap_sum = sum(compress(range(len(table)), table.translate(_FLIP)))
+    gap_sum = _gap_sum(table)
     if sylvester != gap_sum:
         _mismatch("sylvester sum", sylvester, gap_sum, gens, p)
     power_sums = {mu: sums[mu] for mu in range(1, mu_max + 1)}

@@ -544,6 +544,10 @@ def _batch(monkeypatch, capsys, lines):
         ({"command": "invariants", "gens": [3, 5], "mu": 400}, "mu must be in 0..100"),
         ({"command": "invariants", "gens": [3, 5], "mu": -3}, "mu must be in 0..100"),
         ({"command": "membership", "gens": [3, 5], "p": -1, "n": 8}, "bad p range"),
+        # the first mistyped field in schema order, whatever the job's order,
+        # and a mistyped field before a key the command does not take
+        ({"command": "invariants", "gens": [3, 5], "mu": "y", "p": "x"}, "'p' must be an integer"),
+        ({"command": "membership", "gens": [3, 5], "nn": 1, "n": "8"}, "'n' must be an integer"),
     ],
 )
 def test_batch_rejects_mistyped_fields_and_goes_on(capsys, monkeypatch, job, words):
@@ -736,6 +740,56 @@ def test_verify_cross_checks_exit_1_naming_gens_and_p(
     assert f"for gens=(3, 5) {where}".strip() + "\n" in err
 
 
+@pytest.mark.parametrize("entry, what", [(0, "genus"), (1, "sylvester sum")])
+def test_default_report_checks_exit_1_naming_gens_and_p(capsys, monkeypatch, entry, what):
+    """Without --verify the report still checks the formula genus and gap sum
+    against the ones read off the membership bytes."""
+    from psemigroups import report
+
+    real = report.gap_power_sums
+
+    def off_by_one(ap, mu_max):
+        sums = real(ap, mu_max)
+        sums[entry] += 1
+        return sums
+
+    monkeypatch.setattr(report, "gap_power_sums", off_by_one)
+    code, out, err = run(capsys, ["invariants", "--gens", "3,5", "-p", "1"])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"internal error: {what}: ")
+    assert err.endswith("for gens=(3, 5) p=1\n")
+
+
+# A classification flag turned, where the PF set contradicts it: at p = 0
+# both ways; at p >= 1 a claimed class whose forward direction PF breaks.
+@pytest.mark.parametrize(
+    "gens, p, flag",
+    [
+        ("3,5", "0", "symmetric"),
+        ("5,6,13", "0", "pseudo_symmetric"),
+        ("5,7,9", "1", "symmetric"),
+        ("5,7,9", "1", "pseudo_symmetric"),
+    ],
+)
+def test_verify_checks_the_symmetry_flags_against_the_pf_set(capsys, monkeypatch, gens, p, flag):
+    from psemigroups import report
+
+    real = report.classify
+
+    def turned(semigroup):
+        flags = real(semigroup)
+        flags[flag] = not flags[flag]
+        return flags
+
+    monkeypatch.setattr(report, "classify", turned)
+    base = ["invariants", "--gens", gens, "-p", p]
+    assert run(capsys, base)[0] == 0
+    code, out, err = run(capsys, [*base, "--verify"])
+    assert (code, out) == (1, "")
+    assert "symmetry flags against the PF set" in err
+    assert err.endswith(f"for gens=({gens.replace(',', ', ')}) p={p}\n")
+
+
 # Jobs whose build and default report fit under the cap, but one --verify
 # oracle's work estimate does not: the min-plus costs a1**2 = 1,018,081, and
 # the definitional pseudo-Frobenius oracle 39 candidates times 36 shifts.
@@ -809,9 +863,9 @@ def test_invariants_verify_runs_the_sumset_once_per_job(capsys, monkeypatch):
     from psemigroups import enumeration
 
     calls = []
-    real = enumeration._generator_ranges
+    real = enumeration._generator_word
     monkeypatch.setattr(
-        enumeration, "_generator_ranges", lambda semigroup: calls.append(1) or real(semigroup)
+        enumeration, "_generator_word", lambda semigroup: calls.append(1) or real(semigroup)
     )
     jobs = [("6,17,28", "5"), ("503,607,701", "0"), ("3,5", "1"), ("4,6,9", "2")]
     for gens, p in jobs:

@@ -14,7 +14,9 @@ from psemigroups import (
     ValidationError,
     validate_generators,
 )
-from psemigroups.core import _bits, _least_per_class, _least_positive, _table_of, _window
+from psemigroups.core import (
+    _bits, _gap_sum, _least_per_class, _least_positive, _table_of, _window,
+)
 from psemigroups.decompose import FiniteSemigroup
 from psemigroups.enumeration import gaps
 
@@ -170,3 +172,18 @@ def test_words_round_trip_through_tables(table, high):
     # bits at or past the length are ignored: those integers are members anyway
     stray = (1 << high) - 1 << len(table)
     assert FiniteSemigroup.from_word(word | stray, len(table)) == FiniteSemigroup.from_table(table)
+
+
+# Around the 4,096-byte chunks of ``_gap_sum``: empty, one byte, one chunk
+# short, exact and one over, two chunks and one over.
+@pytest.mark.parametrize("length", [0, 1, 4095, 4096, 4097, 8193])
+@settings(max_examples=12, deadline=None)
+@given(rng=st.randoms(use_true_random=True), density=st.sampled_from([0.001, 0.5, 0.999]))
+def test_gap_sum_is_the_sum_of_the_gaps(length, rng, density):
+    """Random tables, tables of gaps only and tables with no gap at all."""
+    for table in (
+        bytes(rng.random() >= density for _ in range(length)),
+        b"\x00" * length,
+        b"\x01" * length,
+    ):
+        assert _gap_sum(table) == sum(gaps(FiniteSemigroup(table)))

@@ -29,7 +29,7 @@ from psemigroups import enumeration
 from psemigroups.cli import main
 from psemigroups.decompose import FiniteSemigroup, irreducible_decomposition
 from psemigroups.enumeration import _count_table, embedding_dimension
-from psemigroups.core import _bits
+from psemigroups.core import _bits, _table_of
 from psemigroups.report import build_invariant_report
 
 T31017 = (3, 10, 17)
@@ -337,8 +337,9 @@ def test_scale_case_invariants_agree():
 def test_embedding_dimension_memory_stays_below_the_table():
     """The sumset words hold a few bits per integer of the Apery spread.
 
-    The count of 409,567 generators is summed over one range per class,
-    with no list of the generators and no byte per integer of the table.
+    The count of 409,567 generators is one ``bit_count`` of the generator
+    word, with no list of the generators and no byte per integer of the
+    table: about 0.66x len(membership) under tracemalloc.
     """
     raw, p = SCALE_CASE
     S = build_psemigroup(validate_generators(list(raw)), p)
@@ -352,12 +353,15 @@ def test_embedding_dimension_memory_stays_below_the_table():
 
 
 def test_report_memory_stays_a_few_tables():
-    """The report's gap-sum check streams the gaps instead of listing them.
+    """The report's gap-sum check reads the gaps as words, not as ints.
 
-    The report holds a few table-length byte strings at once (the window
-    pairing, the padded Apery window, the bytes of the build): about 6.9x
-    len(membership) under tracemalloc.  Summing the gap check through the
-    list that ``gaps()`` returns peaks near 41x, one int object per gap.
+    ``core._gap_sum`` turns 4,096 table bytes at a time into one word and
+    sums their indices with weighted popcounts, so it holds one digit copy
+    of the table and no object per gap.  The report holds a few
+    table-length byte strings at once (the window pairing, the padded Apery
+    window, the bytes of the build): about 6.9x len(membership) under
+    tracemalloc.  Summing the gap check through the list that ``gaps()``
+    returns peaks near 41x, one int object per gap.
     """
     raw, p = SCALE_CASE
     gens = validate_generators(list(raw))
@@ -525,12 +529,21 @@ def test_apery_derived_invariants_match_scans(raw, p):
 )
 def test_sumset_bounds_match_the_min_plus_square(raw, p, at_max):
     S = build_psemigroup(validate_generators(list(raw)), p)
-    ranges = enumeration._generator_ranges(S)
-    least_sums = [r.stop for r in enumeration._min_plus_ranges(S)]
-    assert [r.stop for r in ranges] == least_sums
-    low, high = min(r.start for r in ranges), max(r.start for r in ranges)
+    word, low = enumeration._generator_word(S)
+    ranges = enumeration._min_plus_ranges(S)
+    a1 = len(ranges)
+    # byte i tells whether low + i is a generator; class r's generators run
+    # from pos[r] up to its least sum, so their count gives that sum
+    listed = _table_of(word)
+    bounds = [
+        span.start + a1 * listed[(r - low) % a1 :: a1].count(1) for r, span in enumerate(ranges)
+    ]
+    least_sums = [span.stop for span in ranges]
+    assert bounds == least_sums
+    starts = [span.start for span in ranges]
+    assert low == min(starts)
     assert 2 * low in least_sums
-    assert (high + low in least_sums) == at_max
+    assert (max(starts) + low in least_sums) == at_max
     assert embedding_dimension(S) == len(minimal_generators_scan(S))
 
 
