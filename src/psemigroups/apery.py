@@ -55,19 +55,29 @@ def bernoulli(n: int) -> Fraction:
     return -sum(comb(n + 1, j) * bernoulli(j) for j in range(n)) / (n + 1)
 
 
+@functools.cache
+def _bernoulli_weights(mu_max: int) -> tuple[int, tuple[int, ...]]:
+    """lcd = lcm(den B_0..B_{mu_max+1}) and the integers B_k * lcd, per ``mu_max``.
+
+    Memoized by ``functools.cache``, like ``bernoulli``: they depend on
+    ``mu_max`` alone, not on the Apery tuple.
+    """
+    numbers = [bernoulli(k) for k in range(mu_max + 2)]
+    lcd = lcm(*[b.denominator for b in numbers])
+    return lcd, tuple(b.numerator * (lcd // b.denominator) for b in numbers)
+
+
 def gap_power_sums(ap: tuple[int, ...], mu_max: int) -> list[int]:
     """Sum of n**mu over the gaps for mu = 0..mu_max, from an Apery tuple.
 
     With a = len(ap) and P_j the sum of w**j over the tuple (P_0 = a), entry
     mu is (sum_{k<=mu+1} C(mu+1, k) B_k a**(k-1) P_{mu+1-k} - B_{mu+1}) / (mu+1),
-    summed in integers over a * lcm(den B_0..B_{mu_max+1}).  The weights and
-    the P_j are computed once for all entries; entry 0 is the genus and entry
-    1 the Sylvester sum.
+    summed in integers over a * lcm(den B_0..B_{mu_max+1}).  The weights come
+    from ``_bernoulli_weights`` and the P_j are computed once for all
+    entries; entry 0 is the genus and entry 1 the Sylvester sum.
     """
     a = len(ap)
-    numbers = [bernoulli(k) for k in range(mu_max + 2)]
-    lcd = lcm(*[b.denominator for b in numbers])
-    weights = [b.numerator * (lcd // b.denominator) for b in numbers]  # B_k * lcd
+    lcd, weights = _bernoulli_weights(mu_max)  # weights[k] = B_k * lcd
     scaled = [w * a**k for k, w in enumerate(weights)]  # B_k * lcd * a**k
     sums = [sum(map(pow, ap, repeat(j))) for j in range(mu_max + 2)]  # P_j
     out = []

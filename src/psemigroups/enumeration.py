@@ -14,20 +14,39 @@ bits, where width is one more than the spread of those members.  That word
 and the word of those members, each closed under adding a1 by doubling
 shifts, give the generators as the members that are not sums, one AND-NOT:
 their count is a ``bit_count`` and their list one pass over the word's
-bytes, with no Python step per class or per generator.  The coin-counting
-table survives as the denumerant evaluator and, run up to the frontier, as
-the membership oracle for tests and ``--verify``; it shares nothing with the
-planes.  The minimal generators have two oracles, each sharing no kernel
-with the sumset: the definitional scan, which reads the membership bytes
-and also serves the decomposition components (they carry no Apery tuple),
-and the a1 x a1 min-plus square of the least positive members per class,
-whose cost does not grow with the Frobenius number.
+bytes, with no Python step per class or per generator.
+
+The exact counts d(0..size-1) are one packed int, the count table behind
+``denumerant_table`` and, run up to the frontier, the membership oracle for
+tests and ``--verify``.  Entry n is the c-byte field at bit 8 * c * n.  c is
+fixed before any work so that the top bit of every field stays free under
+the bound d(n) <= (n * g // (a1 * a2) + 1) * prod(n // a_i + 1 for i >= 3),
+g = gcd(a1, a2): once x_3..x_k are fixed, x_2 <= n / a2 lies in a single
+residue class mod a1 / g (proof in ``_count_bound``).  Each factor
+1/(1 - x**a) is applied by the doubling shift-adds
+``word += (word & low) << s``, masked before the shift.  No field overflows: each partial product P
+times the factors still to come, a series with constant term 1 and
+nonnegative coefficients, is the full series, so P's coefficient at n is at
+most d(n).  The oracle adds 2**(8c-1) - 1 - p to every field, which sets a
+field's top bit iff d(n) > p, and reads all the top bytes in one slice.  It
+shares the shift schedule with the planes (the same factorization), but not
+their saturating bit-slice adders, carry saturation or top-down comparator;
+the recursive ``denumerant_oracle`` shares neither, and the tests check the
+packed table against it.
+
+The minimal generators have two oracles, each sharing no kernel with the
+sumset: the definitional scan, which reads the membership bytes and also
+serves the decomposition components (they carry no Apery tuple), and the
+a1 x a1 min-plus square of the least positive members per class, whose cost
+does not grow with the Frobenius number.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import chain, compress, count, repeat
-from math import factorial, prod
+from math import factorial, gcd, prod
+from struct import calcsize
 
 from .core import (
     TABLE_LIMIT_ENV, _FLIP, GeneratorTuple, PSemigroup, TableLimitError, ValidationError,
@@ -35,23 +54,90 @@ from .core import (
 )
 from .apery import apery_set
 
+# the native widths memoryview.cast reads, ascending
+_CAST = {calcsize(code): code for code in "BHIQ"}
+# 1 for a byte whose high bit is set, else 0
+_HIGH_BIT = bytes(b >> 7 for b in range(256))
 
-def _count_table(gens: tuple[int, ...], limit: int) -> list[int]:
-    """Coin-counting recurrence: counts[n] = #tuples x with sum a_i x_i = n."""
-    counts = [0] * (limit + 1)
-    counts[0] = 1
-    for a in gens:
-        for n in range(a, limit + 1):
-            counts[n] += counts[n - a]
-    return counts
+
+def _count_bound(elements: tuple[int, ...], n: int) -> int:
+    """An upper bound on d(m) for every 0 <= m <= n.
+
+    The bound is (n * g // (a1 * a2) + 1) * prod(n // a_i + 1 for i >= 3),
+    with g = gcd(a1, a2).  Fix x_3..x_k and let r = m - sum_{i>=3} a_i x_i.
+    Then a1 x_1 + a2 x_2 = r forces a2 x_2 = r (mod a1), which puts x_2 in a
+    single residue class mod a1 / g, since a2 / g is invertible there; with
+    0 <= x_2 <= r // a2 that leaves at most r * g // (a1 * a2) + 1 values,
+    each fixing x_1.  Each x_i (i >= 3) lies in 0..n // a_i.  The bound does
+    not decrease with n, so it holds for every m <= n.
+    """
+    a1, a2, *rest = elements
+    return (n * gcd(a1, a2) // (a1 * a2) + 1) * prod(n // a + 1 for a in rest)
+
+
+def _packed_counts(elements: tuple[int, ...], size: int) -> tuple[int, int]:
+    """d(0..size-1) as the c-byte fields of one int, and c (size >= 1).
+
+    c is the least byte width whose top bit stays free under the bound of
+    ``_count_bound``.  Below x**size the factor 1/(1 - x**a) is the product
+    of 1 + x**s for s = a, 2a, 4a, ... < size; each is one shift-add, the
+    word cut to its low size - s fields before the shift, so each step holds
+    about three words.  While the word is still that short, as on every
+    step of the first generator, the cut is skipped.
+    """
+    c = _count_bound(elements, size - 1).bit_length() // 8 + 1
+    bits = 8 * c
+    word = 1
+    for a in elements:
+        s = a
+        while s < size:
+            keep = bits * (size - s)
+            # one expression, so the cut copy is freed as soon as it is shifted
+            word += (word if word.bit_length() <= keep else word & ((1 << keep) - 1)) << bits * s
+            s += s
+    return word, c
+
+
+def _unpack(raw: bytes, c: int) -> list[int]:
+    """The c-byte little-endian fields of ``raw`` as ints.
+
+    Each field is widened to the least width ``memoryview.cast`` reads that
+    holds it, or past 8 bytes to 8-byte limbs that are combined afterwards.
+    Byte i of a field lands in its limb by the host's byte order, so the
+    native cast reads the same values on either host.
+    """
+    limb = next((w for w in _CAST if w >= c), 8)
+    limbs = -(-c // limb)
+    width = limb * limbs
+    if width != c or sys.byteorder == "big":
+        wide = bytearray(len(raw) // c * width)
+        for i in range(c):
+            wide[i if sys.byteorder == "little" else i ^ (limb - 1) :: width] = raw[i::c]
+        raw = wide
+    values = memoryview(raw).cast(_CAST[limb]).tolist()
+    if limbs == 1:
+        return values
+    out = values[limbs - 1 :: limbs]
+    for j in reversed(range(limbs - 1)):
+        out = [high << 8 * limb | low for high, low in zip(out, values[j::limbs])]
+    return out
 
 
 def denumerant_table(gens: GeneratorTuple, limit: int) -> list[int]:
-    """Exact representation counts: entry n is d(n), for 0..limit."""
+    """Exact representation counts: entry n is d(n), for 0..limit.
+
+    The packed table of ``_packed_counts``: entry n is its c-byte field at
+    bit 8 * c * n, c fixed by the bound of ``_count_bound`` with each
+    field's top bit free.  Its little-endian bytes are unpacked by
+    ``_unpack`` with one ``memoryview.cast``, whatever the host's byte
+    order.  The table shares only the shift schedule with the bit planes of
+    ``build_psemigroup``, not their adders, saturation or comparator.
+    """
     if limit < 0:
         raise ValidationError("table limit must be non-negative")
     _check_table_size(limit + 1, "the denumerant table")
-    return _count_table(gens.elements, limit)
+    word, c = _packed_counts(gens.elements, limit + 1)
+    return _unpack(word.to_bytes(c * (limit + 1), "little"), c)
 
 
 def denumerant_oracle(gens: GeneratorTuple, n: int) -> int:
@@ -221,19 +307,27 @@ def build_psemigroup(gens: GeneratorTuple, p: int) -> PSemigroup:
 def membership_oracle(gens: GeneratorTuple, p: int, limit: int) -> bytes:
     """Oracle: membership bytes for 0..limit-1 from the exact count table.
 
-    Shares nothing with the bit planes of ``build_psemigroup``.  Run up to
-    the frontier it must equal ``PSemigroup.membership``, whose last a1
-    entries are all members: the run that certifies every larger integer,
-    since adding a1 never removes a representation.  The count table adds
-    up to ``limit`` entries once per generator, which the size cap bounds.
+    The c-byte fields of ``_packed_counts`` hold d(n) <= 2**(8c-1) - 1 =
+    top.  With p clamped to -1..top, adding top - p to every field sets its
+    top bit iff d(n) > p and carries into no other field, so one slice of
+    the top bytes, each translated by its high bit, is the answer: no
+    Python int per entry.  The table shares only the shift schedule with the
+    bit planes of ``build_psemigroup``, not their adders, saturation or
+    comparator.  Run up to the frontier it must equal
+    ``PSemigroup.membership``, whose last a1 entries are all members: the
+    run that certifies every larger integer, since adding a1 never removes a
+    representation.  The size cap bounds ``limit`` entries once per
+    generator.
     """
     if limit < 0:
         raise ValidationError("table limit must be non-negative")
     _check_table_size(limit * len(gens), "the count-table membership oracle")
     if limit == 0:
         return b""
-    counts = _count_table(gens.elements, limit - 1)
-    return bytes(map(p.__lt__, counts))
+    word, c = _packed_counts(gens.elements, limit)
+    top = (1 << 8 * c - 1) - 1
+    word += int.from_bytes((top - min(max(p, -1), top)).to_bytes(c, "little") * limit, "little")
+    return word.to_bytes(c * limit, "little")[c - 1 :: c].translate(_HIGH_BIT)
 
 
 def gaps(semigroup: PSemigroup) -> list[int]:

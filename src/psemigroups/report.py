@@ -7,14 +7,15 @@ gives every power sum.  The bytes give the genus as a count of zero bytes
 and the gap sum as weighted popcounts of 4,096-bit words (``_gap_sum``),
 with no Python object per gap.  Tuple and bytes come from the same
 bit-plane build, so this checks the formulas, not the build; ``verify=True``
-adds the heavier re-derivations, each sharing nothing with the planes:
-membership from the count table, the minimal generators from the cheaper of
-the min-plus square and the scan (counted against the embedding dimension),
-the scanned valuation lengths, brute-force power sums over the gap list
-(one running product per exponent), three-way pseudo-Frobenius agreement,
-the symmetry flags against that PF set, the Hilbert factorization identity,
-the gcd-reduction lift of a separately built reduced tuple, and the
-matching closed forms when the generator tuple has one.  Each oracle whose
+adds the heavier re-derivations, each sharing no kernel with the planes:
+membership from the count table (which shares only their shift schedule),
+the minimal generators from the cheaper of the min-plus square and the scan
+(counted against the embedding dimension), the scanned valuation lengths,
+brute-force power sums over the gap list (one running product per
+exponent), three-way pseudo-Frobenius agreement, the symmetry flags
+against that PF set, the Hilbert factorization identity, the gcd-reduction
+lift of a separately built reduced tuple, and the matching closed forms
+when the generator tuple has one.  Each oracle whose
 work can outgrow the membership table has it estimated and checked against
 the size cap before it runs; the two count oracles check their own.
 ``check_series`` and ``check_denumerant`` are the checks the ``hilbert``,

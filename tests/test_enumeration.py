@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from functools import reduce
 from math import gcd
@@ -28,9 +29,23 @@ from psemigroups import (
 from psemigroups import enumeration
 from psemigroups.cli import main
 from psemigroups.decompose import FiniteSemigroup, irreducible_decomposition
-from psemigroups.enumeration import _count_table, embedding_dimension
+from psemigroups.enumeration import _count_bound, _packed_counts, embedding_dimension
 from psemigroups.core import _bits, _table_of
 from psemigroups.report import build_invariant_report
+
+
+def _count_table(elements: tuple[int, ...], limit: int) -> list[int]:
+    """Reference coin-counting recurrence: entry n counts the x with sum a_i x_i = n.
+
+    One addition per entry and generator, with no packing and no shifts.
+    """
+    counts = [0] * (limit + 1)
+    counts[0] = 1
+    for a in elements:
+        for n in range(a, limit + 1):
+            counts[n] += counts[n - a]
+    return counts
+
 
 T31017 = (3, 10, 17)
 
@@ -444,6 +459,83 @@ def test_sliced_counts_match_the_count_table(raw, p, limit):
     assert word == _bits(membership_oracle(gens, p, limit))
     S = build_psemigroup(gens, p)
     assert S.membership == membership_oracle(gens, p, S.frontier)
+
+
+def _threshold_cases(counts: list[int], c: int) -> list[int]:
+    """p at 0, around the largest count, at the largest field value, far above it and below 0."""
+    most, top = max(counts), (1 << 8 * c - 1) - 1
+    return [0, most - 1, most, most + 1, top, top + 1, 10**40, -1, -5]
+
+
+@settings(max_examples=80, deadline=None)
+@given(gen_lists, st.integers(min_value=0, max_value=300))
+@example([2, 3], 0)
+@example([2, 3], 1)
+@example([3, 10, 17], 1)
+@example([2, 3], 1000)  # counts up to 167: a 1-byte field would have no free top bit
+def test_packed_counts_match_the_recurrence_and_the_oracle(raw, limit):
+    gens = validate_generators(raw)
+    counts = _count_table(gens.elements, limit)
+    assert denumerant_table(gens, limit) == counts
+    for n in {0, limit // 3, limit // 2, limit}:
+        assert counts[n] == denumerant_oracle(gens, n)
+    # the width bound holds at every entry and leaves each field's top bit free
+    assert all(d <= _count_bound(gens.elements, n) for n, d in enumerate(counts))
+    c = _packed_counts(gens.elements, limit + 1)[1]
+    assert max(counts) < 1 << 8 * c - 1
+    for p in _threshold_cases(counts, c):
+        assert membership_oracle(gens, p, limit + 1) == bytes(map(p.__lt__, counts))
+
+
+def test_wide_fields_combine_their_limbs():
+    """Generators 2..12 at limit 3,000 need 11-byte fields: two 8-byte limbs each."""
+    gens = validate_generators(list(range(2, 13)))
+    counts = _count_table(gens.elements, 3000)
+    c = _packed_counts(gens.elements, 3001)[1]
+    assert c == 11 and max(counts) >= 1 << 64
+    assert denumerant_table(gens, 3000) == counts
+    for p in _threshold_cases(counts, c) + [counts[2999], counts[3000]]:
+        assert membership_oracle(gens, p, 3001) == bytes(map(p.__lt__, counts))
+
+
+@pytest.mark.skipif(sys.byteorder != "little", reason="reads a big-endian layout natively")
+@pytest.mark.parametrize(
+    "raw, limit, c, width",
+    [((2, 3), 2000, 2, 2), ((2, 3, 5, 7), 700, 3, 4), ((2, 3, 5, 7, 11), 3000, 5, 8)],
+)
+def test_unpack_places_field_bytes_by_host_order(monkeypatch, raw, limit, c, width):
+    """Laid out for a big-endian host, each widened field reads byte-reversed here."""
+    gens = validate_generators(list(raw))
+    counts = _count_table(gens.elements, limit)
+    assert _packed_counts(gens.elements, limit + 1)[1] == c
+    monkeypatch.setattr(enumeration, "sys", type("Host", (), {"byteorder": "big"}))
+    swapped = [int.from_bytes(d.to_bytes(width, "little"), "big") for d in counts]
+    assert denumerant_table(gens, limit) == swapped
+
+
+def _peak_per_entry(call, entries: int) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / entries
+    finally:
+        tracemalloc.stop()
+
+
+def test_count_oracle_memory_stays_a_few_packed_words():
+    """The membership oracle holds a few c-byte-per-entry words, no int per entry.
+
+    (2, 3) to 2,000,000 takes 3-byte fields and peaks at 9.6 bytes per entry
+    under tracemalloc (41 with one Python int per entry); (1009, 1201, 1499)
+    at its frontier takes 2-byte fields and peaks at 6.4 (9.2 with one int
+    per entry).
+    """
+    gens = validate_generators([2, 3])
+    assert _peak_per_entry(lambda: membership_oracle(gens, 0, 2_000_000), 2_000_000) < 16
+    raw, p = SCALE_CASE
+    gens = validate_generators(list(raw))
+    limit = 441384 + 1 + raw[0]
+    assert _peak_per_entry(lambda: membership_oracle(gens, p, limit), limit) <= 9.2
 
 
 @settings(max_examples=30, deadline=None)

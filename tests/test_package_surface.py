@@ -225,6 +225,35 @@ def test_report_leaves_each_size_check_to_its_oracle():
     assert calls == []
 
 
+def _reach(calls: dict[str, set[str]], roots: set[str]) -> set[str]:
+    """The functions of one module that ``roots`` call, directly or through others."""
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo += calls.get(name, set()) & calls.keys()
+    return seen
+
+
+def test_count_table_and_bit_planes_are_separate_kernels():
+    """The count table shares the doubling shift schedule with the bit planes,
+    but no code: neither reaches a function of the other."""
+    calls = {
+        function.name: {
+            node.func.id
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        for function in _tree("enumeration.py").body
+        if isinstance(function, ast.FunctionDef)
+    }
+    count_table = _reach(calls, {"denumerant_table", "membership_oracle"})
+    assert {"_packed_counts", "_unpack"} <= count_table
+    assert count_table & {"_member_word", "_closed"} == set()
+    assert _reach(calls, {"_member_word"}) & count_table == set()
+
+
 # Two modules for ``tools/size.py``: docstrings, comments and layout tokens
 # are left out, and every other string is one token.
 SIZE_FIXTURE = {
