@@ -28,6 +28,7 @@ from .enumeration import (
     gaps,
     membership_oracle,
     minimal_generators,
+    minimal_generators_lower_half,
     minimal_generators_min_plus,
     minimal_generators_scan,
 )
@@ -68,7 +69,6 @@ from .decompose import (
     FiniteSemigroup,
     intersect,
     irreducible_decomposition,
-    irreducible_oversemigroup_avoiding,
     is_irreducible_classic,
     is_irreducible_shifted,
     verify_decomposition,
@@ -109,7 +109,6 @@ __all__ = [
     "hilbert_from_apery",
     "intersect",
     "irreducible_decomposition",
-    "irreducible_oversemigroup_avoiding",
     "is_irreducible_classic",
     "is_irreducible_shifted",
     "is_p_completely_symmetric",
@@ -118,6 +117,7 @@ __all__ = [
     "lift_invariants",
     "membership_oracle",
     "minimal_generators",
+    "minimal_generators_lower_half",
     "minimal_generators_min_plus",
     "minimal_generators_scan",
     "pf_via_apery_maximals",

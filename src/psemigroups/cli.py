@@ -30,7 +30,7 @@ from .core import (
     _digits,
     validate_generators,
 )
-from .enumeration import build_psemigroup, denumerant_table, minimal_generators_scan
+from .enumeration import build_psemigroup, denumerant_table, minimal_generators_lower_half
 from .hilbert import gaps_series, hilbert_direct
 from .decompose import FiniteSemigroup, irreducible_decomposition
 from .report import build_invariant_report, check_components, check_denumerant, check_series
@@ -125,7 +125,7 @@ def cmd_decompose(gens: GeneratorTuple, p: int = 0, verify: bool = False) -> dic
     """Irreducible intersection decomposition."""
     base = FiniteSemigroup.from_psemigroup(build_psemigroup(gens, p))
     components = irreducible_decomposition(base)
-    listed = [minimal_generators_scan(component) for component in components]
+    listed = [minimal_generators_lower_half(component) for component in components]
     if verify:
         check_components(gens, p, listed, components)
     return {

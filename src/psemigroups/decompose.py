@@ -3,19 +3,22 @@
 A semigroup is stored as a canonical membership table trimmed at its
 Frobenius number, so structural equality and hashing just work.  It reads
 like a ``PSemigroup`` whose least element is 0, so gaps, pseudo-Frobenius
-numbers, the window pairing and the minimal-generator scan are the shared
-functions of ``enumeration`` and ``symmetry``.  The decomposition walks the
-uncovered gaps from the top: for each one it completes the semigroup to an
-irreducible oversemigroup avoiding that gap, in closed form (the members
-below the gap, the upper-half integers whose partner below the gap is not a
-member, everything above it).  Each component is the only one that excludes
-its own gap, so no component is redundant.  The walk also keeps the meet of
+numbers, the window pairing and the minimal generators (the lower-half
+sumset, checked by the scan) are the shared functions of ``enumeration``
+and ``symmetry``.  The decomposition walks the uncovered gaps from the top:
+for each one it completes the semigroup to an irreducible oversemigroup
+avoiding that gap, in closed form (the members below the gap, the
+upper-half integers whose partner below the gap is not a member,
+everything above it).  Each component is the only one that excludes its
+own gap, so no component is redundant.  The walk also keeps the meet of
 its components and raises unless it is the input.
 
 The completion, ``intersect`` and the uncovered-gap walk read a table as
 a Python int "word" built by ``core._bits``: bit n is set iff n is a
-member (for a gap word, iff n is a gap).  Tables of unequal length are
-padded with members first, by ``core._window``.
+member (for a gap word, iff n is a gap).  The walk converts the input's
+table and its reversal once; each completion is then one word expression,
+whose low bits give the component's bytes in one conversion.  Tables of
+unequal length are padded with members first, by ``core._window``.
 """
 
 from __future__ import annotations
@@ -115,17 +118,21 @@ def is_irreducible_shifted(semigroup: FiniteSemigroup) -> bool:
     )
 
 
-def irreducible_oversemigroup_avoiding(
-    semigroup: FiniteSemigroup, gap: int
-) -> FiniteSemigroup:
-    """The irreducible oversemigroup of S = ``semigroup`` with Frobenius
-    ``gap`` that agrees with S below ``gap``/2.
+def _completion(
+    members: int, mirrored: int, length: int, gap: int
+) -> tuple[int, FiniteSemigroup]:
+    """The irreducible oversemigroup of S avoiding ``gap``, as a word and a component.
 
-    Writing g for ``gap``, it is
+    ``members`` is the word of S's table, ``mirrored`` that of the table
+    reversed and ``length`` the table's length; ``gap`` is a gap of S, so
+    it lies below ``length``.  Writing g for ``gap``, the completion is
 
         T = S ∪ {x : g/2 < x < g, g - x ∉ S} ∪ {x > g},
 
-    one word op over the table cut at g and its reversal.
+    one word expression: bit x of ``mirrored >> (length - 1 - g)`` is set
+    iff g - x is a member, for 0 <= x <= g, and no bit past g is.  The
+    word has every bit past g set.  The component's bytes are the word's
+    bits 0..g, which end in the 0 byte at g, so they are canonical.
 
     - T is additively closed.  A sum above g is in T.  Two added upper-half
       elements sum above g.  For s ∈ S positive and x added: if s + x = g or
@@ -141,27 +148,23 @@ def irreducible_oversemigroup_avoiding(
       top, an upper-half x exactly when g - x ∉ S.  Its result therefore
       contains T and avoids g, and by maximality equals T.
     """
-    if gap < 0:
-        raise ValidationError(f"{gap} is negative, not a gap")
-    if semigroup.contains(gap):
-        raise ValidationError(f"{gap} is a member, cannot be avoided")
-    below = semigroup.membership[: gap + 1]
-    upper = -1 << (gap // 2 + 1)
-    # bit x of the reversed word is set iff gap - x is a member
-    current = FiniteSemigroup.from_word(_bits(below) | upper & ~_bits(below[::-1]), gap + 1)
+    low = (1 << gap + 1) - 1
+    word = members & low | -1 << (gap // 2 + 1) & ~(mirrored >> (length - 1 - gap))
+    table = _table_of(word & low | low + 1)[:-1]
     # a completion holding its gap would never cover it in the decomposition walk
-    if current.contains(gap) or not is_irreducible_classic(current):
+    if word >> gap & 1 or not _pairs_exactly_one(table, gap):
         raise InternalConsistencyError(
             f"completion avoiding {gap} is not an irreducible oversemigroup avoiding it"
         )
-    return current
+    return word, FiniteSemigroup(table)
 
 
 def irreducible_decomposition(semigroup: FiniteSemigroup) -> list[FiniteSemigroup]:
     """Irreducible oversemigroups whose intersection is the input.
 
     Walks the uncovered gaps from the largest down and excludes each by its
-    irreducible completion.  No component is redundant: the component for
+    irreducible completion, ``_completion`` of the input's word and its
+    mirror, both built once.  No component is redundant: the component for
     target t has Frobenius number t.  Later components have smaller
     Frobenius numbers, so they contain t; earlier ones contain t, because t
     was still uncovered.  So each component is the only one that excludes
@@ -171,17 +174,18 @@ def irreducible_decomposition(semigroup: FiniteSemigroup) -> list[FiniteSemigrou
     finds no target and it is returned as its own single component.  The
     result is irredundant, not guaranteed globally minimal.
     """
-    length = len(semigroup.membership)
-    members = _bits(semigroup.membership)
+    table = semigroup.membership
+    length = len(table)
+    members = _bits(table)
+    mirrored = _bits(table[::-1])
     components: list[FiniteSemigroup] = []
     # below ``length``: the members of every component so far, and the
     # input's gaps that no component excludes yet
     meet = (1 << length) - 1
     uncovered = meet ^ members
     while uncovered:
-        component = irreducible_oversemigroup_avoiding(semigroup, uncovered.bit_length() - 1)
+        word, component = _completion(members, mirrored, length, uncovered.bit_length() - 1)
         components.append(component)
-        word = _bits(_window(component.membership, 0, length))
         meet &= word
         uncovered &= word
     if meet != members:  # every gap is excluded, so a component lost a member

@@ -35,10 +35,12 @@ the recursive ``denumerant_oracle`` shares neither, and the tests check the
 packed table against it.
 
 The minimal generators have two oracles, each sharing no kernel with the
-sumset: the definitional scan, which reads the membership bytes and also
-serves the decomposition components (they carry no Apery tuple), and the
+sumset: the definitional scan, which reads the membership bytes, and the
 a1 x a1 min-plus square of the least positive members per class, whose cost
-does not grow with the Frobenius number.
+does not grow with the Frobenius number.  The decomposition components
+carry no Apery tuple; their generators come from the table alone, as one
+sumset word shifted by the members of its lower half
+(``minimal_generators_lower_half``), which the scan checks in the tests.
 """
 
 from __future__ import annotations
@@ -431,6 +433,29 @@ def minimal_generators_min_plus(semigroup: PSemigroup) -> list[int]:
     return sorted(chain.from_iterable(_min_plus_ranges(semigroup)))
 
 
+def minimal_generators_lower_half(semigroup: PSemigroup) -> list[int]:
+    """Minimal monoid generators of the members with 0 adjoined, from the table alone.
+
+    With mu the least positive member, every minimal generator lies in
+    [mu, top], top = max(F + mu, mu): past F + mu, subtracting mu leaves a
+    member.  A member m <= top that is a sum s + t of positive members, s <=
+    t, has mu <= s <= top / 2.  So with w the word of the positive members up
+    to top, the sums there are the OR of w << s over the members s in
+    [mu, top // 2], and the generators are the bits of w that no shift sets.
+    It reads only the membership bytes, so it serves the decomposition
+    components (``FiniteSemigroup``), which carry no Apery tuple; the scan
+    and the per-integer oracle of the tests check it.
+    """
+    mu = _least_positive(semigroup.membership)
+    top = max(semigroup.frobenius + mu, mu)
+    window = _window(semigroup.membership, 0, top + 1)
+    word = _bits(window) & ~1
+    sums = 0
+    for s in compress(count(mu), window[mu : top // 2 + 1]):
+        sums |= word << s
+    return list(compress(count(), _table_of(word & ~sums)))
+
+
 def minimal_generators_scan(semigroup: PSemigroup) -> list[int]:
     """Oracle for ``minimal_generators``: the definitional scan.
 
@@ -438,13 +463,10 @@ def minimal_generators_scan(semigroup: PSemigroup) -> list[int]:
     minimal generators lie in [m, frobenius + m] for the least positive
     member m, and subtracting m from any of them must leave a non-member,
     which caps the candidate count at m.  It indexes the membership bytes,
-    padded with members, so it stays independent of the Apery tuple; it is
-    also the production path for the decomposition components
-    (``FiniteSemigroup``, least element 0), where that tuple is not at hand.
-    The components keep the scan: the windowed sumset over the Apery set of
-    the multiplicity gives the same generators about 5x slower, 0.075 ->
-    0.37 s over the 7,488 components of the ``decompose`` bench pool and
-    0.34 -> 1.86 s over 1,124 scale components.
+    padded with members, so it stays independent of the Apery tuple and
+    also reads a ``FiniteSemigroup``; the tests check
+    ``minimal_generators_lower_half`` against it on the decomposition
+    components, and ``--verify`` runs it when it is the cheaper oracle.
     """
     mu = _least_positive(semigroup.membership)
     top = max(semigroup.frobenius + mu, mu)

@@ -718,7 +718,7 @@ def _flip_bit_zero(word: int) -> int:
         ("report", "pf_via_apery_maximals", lambda pf: pf[:-1], "invariants", "p=1"),
         ("report", "minimal_generators_min_plus", lambda gens: gens[:-1], "invariants", "p=1"),
         ("report", "lift_invariants", lambda t: (t[0] + 1, *t[1:]), "invariants", "p=1"),
-        ("cli", "minimal_generators_scan", lambda gens: gens[:-1], "decompose", "p=1"),
+        ("cli", "minimal_generators_lower_half", lambda gens: gens[:-1], "decompose", "p=1"),
         ("report", "_member_word", _flip_bit_zero, "decompose", "p=1"),
     ],
 )
@@ -851,7 +851,7 @@ def test_component_span_check_fails_a_list_that_does_not_validate(capsys, monkey
     from psemigroups.report import _spans
 
     assert not _spans(listed, FiniteSemigroup.from_generators([3, 5, 7]))
-    monkeypatch.setattr(cli, "minimal_generators_scan", lambda component: listed)
+    monkeypatch.setattr(cli, "minimal_generators_lower_half", lambda component: listed)
     code, out, err = run(capsys, ["decompose", "--gens", "3,5", "-p", "1", "--verify"])
     assert (code, out) == (1, "")
     assert f"generators {listed} do not span" in err and "Traceback" not in err
@@ -1029,16 +1029,15 @@ def test_batch_stdin_with_bytes_that_are_not_utf8_under_a_strict_locale():
 def test_decompose_exits_1_when_a_component_loses_a_member(capsys, monkeypatch):
     import psemigroups.decompose as decompose
 
-    real = decompose.irreducible_oversemigroup_avoiding
+    real = decompose._completion
 
-    def lossy(semigroup, gap):
+    def lossy(members, mirrored, length, gap):
         # drop the input's multiplicity, which every true component keeps
-        m = semigroup.multiplicity
-        table = bytearray(real(semigroup, gap).membership.ljust(m + 1, b"\x01"))
-        table[m] = 0
-        return decompose.FiniteSemigroup.from_table(table)
+        word, component = real(members, mirrored, length, gap)
+        positive = members & ~1
+        return word & ~(positive & -positive), component
 
-    monkeypatch.setattr(decompose, "irreducible_oversemigroup_avoiding", lossy)
+    monkeypatch.setattr(decompose, "_completion", lossy)
     code, out, err = run(capsys, ["decompose", "--gens", "3,5", "-p", "1"])
     assert (code, out) == (1, "")
     assert "do not intersect to the input" in err
@@ -1051,6 +1050,39 @@ def test_decompose_exits_1_when_a_completion_does_not_pair(capsys, monkeypatch):
     code, out, err = run(capsys, ["decompose", "--gens", "3,5", "-p", "1"])
     assert (code, out) == (1, "")
     assert "not an irreducible oversemigroup" in err
+
+
+def test_plain_decompose_runs_no_generator_scan(capsys, monkeypatch):
+    """The lower-half sumset lists the components' generators; the scan is an
+    oracle, and --verify checks each listed component by its span."""
+    from psemigroups import enumeration, report
+
+    calls = []
+    scan = enumeration.minimal_generators_scan
+    scan_spy = lambda semigroup: calls.append("scan") or scan(semigroup)
+    # every module that binds the scan, so a new import of it is caught too
+    for name, module in list(sys.modules.items()):
+        if name.startswith("psemigroups") and getattr(module, "minimal_generators_scan", 0) is scan:
+            monkeypatch.setattr(module, "minimal_generators_scan", scan_spy)
+    spans = report._spans
+    span_spy = lambda generators, component: calls.append("span") or spans(generators, component)
+    monkeypatch.setattr(report, "_spans", span_spy)
+    job = ["decompose", "--gens", "5,9,16", "-p", "2", "--json"]
+    code, out, _ = run(capsys, job)
+    assert (code, calls) == (0, [])
+    code, verified, _ = run(capsys, [*job, "--verify"])
+    assert (code, verified) == (0, out)
+    assert calls == ["span"] * json.loads(out)["count"]
+
+
+def test_decompose_37_53_71_p20_output_is_pinned(capsys):
+    """All 1,124 components of the Frobenius-2367 semigroup, byte for byte;
+    --verify checks every one and prints the same bytes."""
+    job = ["decompose", "--gens", "37,53,71", "-p", "20", "--json"]
+    for argv in (job, [*job, "--verify"]):
+        code, out, err = run(capsys, argv)
+        assert (code, err, len(out.encode())) == (0, "", 4_813_519)
+        assert hashlib.sha256(out.encode()).hexdigest().startswith("c52e18afda27b5c0")
 
 
 # 1,200 generators pass the recursive oracle's loop bound at n <= 1000, as

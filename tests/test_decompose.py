@@ -13,7 +13,6 @@ from psemigroups import (
     gaps,
     intersect,
     irreducible_decomposition,
-    irreducible_oversemigroup_avoiding,
     is_irreducible_classic,
     is_irreducible_shifted,
     minimal_generators_scan,
@@ -23,6 +22,7 @@ from psemigroups import (
     verify_decomposition,
 )
 from psemigroups.core import _FLIP, _bits
+from psemigroups.decompose import _completion
 
 # the two components printed for the p = 2 semigroup over {5, 9, 16}
 PAIR_A = sorted(set([41, 43, 45, 46, 48]) | set(range(50, 200)))
@@ -43,6 +43,16 @@ def _adjoin(semigroup, h):
     table = bytearray(semigroup.membership)
     table[h] = 1
     return FiniteSemigroup.from_table(table)
+
+
+def irreducible_oversemigroup_avoiding(semigroup, gap):
+    """The walk's completion of ``semigroup`` avoiding any one of its gaps."""
+    if gap < 0:
+        raise ValidationError(f"{gap} is negative, not a gap")
+    if semigroup.contains(gap):
+        raise ValidationError(f"{gap} is a member, cannot be avoided")
+    table = semigroup.membership
+    return _completion(_bits(table), _bits(table[::-1]), len(table), gap)[1]
 
 
 def _completion_oracle(semigroup, gap):

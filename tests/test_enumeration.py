@@ -20,6 +20,7 @@ from psemigroups import (
     gaps,
     membership_oracle,
     minimal_generators,
+    minimal_generators_lower_half,
     minimal_generators_min_plus,
     minimal_generators_scan,
     validate_generators,
@@ -688,7 +689,9 @@ def test_generator_scan_matches_the_per_integer_oracle(raw, p):
     S = build_psemigroup(validate_generators(raw), p)
     T = FiniteSemigroup.from_psemigroup(S)
     for U in [S, T, *irreducible_decomposition(T)]:
-        assert minimal_generators_scan(U) == _minimal_generators_oracle(U)
+        expected = _minimal_generators_oracle(U)
+        assert minimal_generators_scan(U) == expected
+        assert minimal_generators_lower_half(U) == expected
 
 
 # (3, 5) p=1: least element 15 > a1, and the members below F + 15 run past
@@ -709,4 +712,5 @@ MINGENS_35_P1 = [15, 18, 20, 21, 23, 24, 25, 26, 27, 28, 29, 31, 32, 34, 37]
 )
 def test_generator_scan_edge_cases(semigroup, expected):
     assert minimal_generators_scan(semigroup) == expected
+    assert minimal_generators_lower_half(semigroup) == expected
     assert _minimal_generators_oracle(semigroup) == expected
