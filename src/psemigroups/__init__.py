@@ -54,7 +54,6 @@ from .closed_forms import (
     GcdReduction,
     arith_invariants,
     gcd_reduce,
-    lift_invariants,
     two_var_invariants,
     two_var_membership,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "is_p_completely_symmetric",
     "is_p_pseudo_symmetric",
     "is_p_symmetric",
-    "lift_invariants",
     "membership_oracle",
     "minimal_generators",
     "minimal_generators_lower_half",

@@ -1,27 +1,29 @@
-"""Closed-form invariant evaluators and the gcd reduction that lifts them.
+"""The paper's closed forms, each as a whole Apery tuple, and the gcd reduction.
 
-Two-generator invariants, standard-form membership, the gcd reduction with
-its lifted Frobenius/genus/Sylvester formulas, and the arithmetic-triple
-closed forms.  An arithmetic triple (a, a+d, a+2d) has one derivation: its
-Apery tuple mod a written as closed progressions (``_arith_apery``), from
-which the least element is read and the Hilbert series is factored; the
-Frobenius number and genus keep the paper's formulas.  Nothing here runs
-enumeration.
+Each closed form is the Apery tuple mod a1 that the build of its family
+must return: two generators (``_two_var_apery``), arithmetic triples
+(``_arith_apery``) and, through ``gcd_reduce``, the reduced tuple's
+Apery set scaled by d.  A tuple decides every membership bit (n is a member
+iff n >= ap[n mod a1]), so ``--verify`` compares whole tuples, and the
+Frobenius number, genus and Sylvester sum are read from them by
+``apery.frobenius_from_apery`` and ``apery.gap_power_sums``, the one owner
+of those numbers.  The paper's scalar formulas for them are pinned by the
+tests.  Standard-form membership answers a single n for two generators.
+Nothing here runs enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
+from .apery import frobenius_from_apery, gap_power_sums
 from .core import (
     GcdNotOneError,
     GeneratorTuple,
     InternalConsistencyError,
     OutOfValidityRangeError,
     ValidationError,
-    _exact_int,
     validate_generators,
 )
 
@@ -33,20 +35,24 @@ def _check_two_var(a: int, b: int) -> None:
         raise GcdNotOneError(f"gcd({a}, {b}) != 1")
 
 
+def _two_var_apery(a: int, b: int, p: int) -> tuple[int, ...]:
+    """Closed Apery tuple mod a of coprime (a, b) at p: entry j*b mod a is (j + p*a)*b.
+
+    With 0 <= j < a, the representations n = a*x + b*y in the class of j*b
+    have y = j + k*a for k >= 0, one for each such y with y*b <= n, so
+    d(n) > p iff (j + p*a)*b <= n.
+    """
+    inverse = pow(b, -1, a)
+    return tuple((r * inverse % a + p * a) * b for r in range(a))
+
+
 def two_var_invariants(a: int, b: int, p: int) -> tuple[int, int, int]:
-    """(frobenius, genus, sylvester_sum) for two coprime generators."""
+    """(frobenius, genus, sylvester_sum) for two coprime generators, from their closed tuple."""
     _check_two_var(a, b)
     if p < 0:
         raise ValidationError("p must be non-negative")
-    frob = (p + 1) * a * b - a - b
-    genus = p * a * b + (a - 1) * (b - 1) // 2
-    sylvester = _exact_int(
-        Fraction(p * p * a * a * b * b, 2)
-        + Fraction(p * (a * b - a - b) * a * b, 2)
-        + Fraction((a - 1) * (b - 1) * (2 * a * b - a - b - 1), 12),
-        "two-generator sylvester sum",
-    )
-    return frob, genus, sylvester
+    ap = _two_var_apery(a, b, p)
+    return (frobenius_from_apery(ap), *gap_power_sums(ap, 1))
 
 
 def two_var_membership(n: int, a: int, b: int, p: int) -> bool:
@@ -89,6 +95,18 @@ def gcd_reduce(gens: GeneratorTuple) -> GcdReduction:
     latest there: gcd(a_k, d) is the gcd of the whole tuple, 1; every
     quotient r/d is at most r < a_k; and the quotients have gcd 1, so the
     reduced tuple validates.
+
+    The lift, at every p: Ap(S, a1) = d * Ap(T, a1), with S the tuple, T the
+    reduced one and both Apery sets taken mod a1.  Write the other
+    generators as d*q_i.  A representation n = a1*x + d*(sum q_i*y_i) has
+    a1*x ≡ n (mod d); as gcd(a1, d) = 1, x ≡ x0 for the one x0 in [0, d)
+    with a1*x0 ≡ n, so x = x0 + d*t with t >= 0.  Then (t, y) represents
+    m = (n - a1*x0)/d over T, and every representation of m gives one of n
+    back, so d_S(n) = d_T(m), and S_p is the union over x0 < d of
+    a1*x0 + d*T_p.  A member a1*x0 + d*m of S_p lies in the class of d*m
+    mod a1 and is at least d*m, so the least member of each class has
+    x0 = 0: it is d times the least member of T_p in the matching class.
+    At p = 0 this gives Johnson's lift of the Frobenius number (1960).
     """
     elements = gens.elements
     for i, a1 in enumerate(elements):
@@ -98,27 +116,6 @@ def gcd_reduce(gens: GeneratorTuple) -> GcdReduction:
         if gcd(a1, d) == 1 and a1 not in quotients:
             break
     return GcdReduction(a1=a1, d=d, reduced=validate_generators([a1, *quotients]))
-
-
-def lift_invariants(
-    reduction: GcdReduction,
-    reduced_frobenius: int,
-    reduced_genus: int,
-    reduced_sylvester_sum: int,
-) -> tuple[int, int, int]:
-    """Lift (frobenius, genus, sylvester_sum) of the reduced tuple to the original."""
-    a1, d = reduction.a1, reduction.d
-    frob = d * reduced_frobenius + (d - 1) * a1
-    genus = _exact_int(
-        d * reduced_genus + Fraction((d - 1) * (a1 - 1), 2), "lifted genus"
-    )
-    sylvester = _exact_int(
-        d * d * reduced_sylvester_sum
-        + Fraction(a1 * d * (d - 1), 2) * reduced_genus
-        + Fraction((a1 - 1) * (d - 1) * (2 * a1 * d - a1 - d - 1), 12),
-        "lifted sylvester sum",
-    )
-    return frob, genus, sylvester
 
 
 def _check_arith(a: int, d: int, p: int) -> None:
@@ -166,15 +163,9 @@ def _arith_apery(a: int, d: int, p: int) -> tuple[int, ...]:
 
 
 def arith_invariants(a: int, d: int, p: int) -> tuple[int, int, int]:
-    """(frobenius, genus, least element) for the triple (a, a+d, a+2d).
+    """(frobenius, genus, least element) for the triple (a, a+d, a+2d), from its closed tuple.
 
-    Valid for 0 <= p <= floor(a/2).  The genus numerator gains 1 for even a;
-    the least element is the least of the closed Apery families.
+    Valid for 0 <= p <= floor(a/2).
     """
-    least = min(_arith_apery(a, d, p))
-    frob = (a + 2 * d) * p + ((a - 2) // 2) * a + (a - 1) * d
-    genus = _exact_int(
-        (2 * a + 2 * d - 1 - p) * p + Fraction((a - 1) * (a + 2 * d - 1) + 1 - a % 2, 4),
-        "arithmetic-triple genus",
-    )
-    return frob, genus, least
+    ap = _arith_apery(a, d, p)
+    return frobenius_from_apery(ap), gap_power_sums(ap, 0)[0], min(ap)

@@ -1,9 +1,9 @@
 """Domain types, validation and the membership-table format of every other module.
 
-Everything is exact: integers are arbitrary precision, rational
-intermediates use ``fractions.Fraction``, and there is no floating-point
-fallback anywhere.  All types are immutable after construction and safe to
-share across threads without synchronization.
+Everything is exact: integers are arbitrary precision, the only rational
+numbers are the Bernoulli numbers of ``apery``, and there is no
+floating-point fallback anywhere.  All types are immutable after
+construction and safe to share across threads without synchronization.
 
 Only this module knows the table format.  Byte n of a membership table is 1
 iff the integer n is a member, and every integer past the table is a
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, inf
 from typing import Sequence
 
@@ -56,12 +55,6 @@ class InternalConsistencyError(RuntimeError):
 
 class NonIntegerResultError(InternalConsistencyError):
     """An always-integral formula produced a non-integer."""
-
-
-def _exact_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise NonIntegerResultError(f"{what} evaluated to non-integer {value}")
-    return value.numerator
 
 
 DEFAULT_TABLE_LIMIT = 10**8

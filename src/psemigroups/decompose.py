@@ -173,7 +173,13 @@ def irreducible_decomposition(semigroup: FiniteSemigroup) -> list[FiniteSemigrou
     completion.  The full monoid is the only input without a gap: the walk
     finds no target and it is returned as its own single component.  The
     result is irredundant, not guaranteed globally minimal.
+
+    The input must be a numerical semigroup.  A table without 0 raises
+    ``ValidationError``; additive closure is a precondition, not checked
+    here (``verify_decomposition`` checks it).
     """
+    if not semigroup.contains(0):
+        raise ValidationError("a numerical semigroup holds 0")
     table = semigroup.membership
     length = len(table)
     members = _bits(table)
@@ -193,15 +199,35 @@ def irreducible_decomposition(semigroup: FiniteSemigroup) -> list[FiniteSemigrou
     return components or [semigroup]
 
 
+def _is_semigroup(semigroup: FiniteSemigroup) -> bool:
+    """Does the table hold 0 and is it closed under addition?
+
+    A sum past the table is a member, and a sum s + t inside it with
+    0 < s <= t has 2*s below the table's length, so the member word shifted
+    by each such member s must set no gap.
+    """
+    table = semigroup.membership
+    members = _bits(table)
+    gaps = members ^ (1 << len(table)) - 1
+    shifts = range(1, (len(table) + 1) // 2)
+    return semigroup.contains(0) and not any(members << s & gaps for s in shifts if table[s])
+
+
 def verify_decomposition(
     semigroup: FiniteSemigroup, components: list[FiniteSemigroup]
 ) -> bool:
     """Is ``components`` a valid irreducible decomposition of ``semigroup``?
 
-    Requires every component to be irreducible in the ordinary or the
+    Requires the input and every component to hold 0 and be additively
+    closed, every component to be irreducible in the ordinary or the
     multiplicity-anchored sense, and the intersection to equal the input
     exactly.  The intersection lies inside each component, so that makes
     every component an oversemigroup of the input.
     """
     irreducible = (is_irreducible_classic(c) or is_irreducible_shifted(c) for c in components)
-    return bool(components) and all(irreducible) and intersect(components) == semigroup
+    return (
+        bool(components)
+        and all(map(_is_semigroup, [semigroup, *components]))
+        and all(irreducible)
+        and intersect(components) == semigroup
+    )

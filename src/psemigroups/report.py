@@ -13,11 +13,13 @@ the minimal generators from the cheaper of the min-plus square and the scan
 (counted against the embedding dimension), the scanned valuation lengths,
 brute-force power sums over the gap list (one running product per
 exponent), three-way pseudo-Frobenius agreement, the symmetry flags
-against that PF set, the Hilbert factorization identity, the gcd-reduction
-lift of a separately built reduced tuple, and the matching closed forms
-when the generator tuple has one.  Each oracle whose
-work can outgrow the membership table has it estimated and checked against
-the size cap before it runs; the two count oracles check their own.
+against that PF set, the Hilbert factorization identity, and the closed
+forms as whole Apery tuples, each a witness for every membership bit at
+O(a1) cost: the gcd-reduction lift of a separately built reduced tuple,
+and the two-generator or arithmetic-triple tuple when the generators form
+one.  Each oracle whose work can outgrow the membership table has it
+estimated and checked against the size cap before it runs; the two count
+oracles check their own.
 ``check_series`` and ``check_denumerant`` are the checks the ``hilbert``,
 ``membership`` and ``denumerant`` commands share with it, and
 ``check_components`` is the ``decompose`` one: this module holds every
@@ -31,7 +33,7 @@ from operator import mul
 
 from .core import (
     _FLIP, GeneratorTuple, InternalConsistencyError, PSemigroup, ValidationError,
-    _check_work, _gap_sum, _least_positive, validate_generators,
+    _check_work, _gap_sum, _least_per_class, _least_positive, validate_generators,
 )
 from .enumeration import (
     _member_word,
@@ -54,13 +56,7 @@ from .symmetry import (
 )
 from .decompose import FiniteSemigroup
 from .hilbert import PowerSeries, gaps_series, hilbert_direct, hilbert_from_apery
-from .closed_forms import (
-    arith_invariants,
-    gcd_reduce,
-    lift_invariants,
-    two_var_invariants,
-    two_var_membership,
-)
+from .closed_forms import _arith_apery, _two_var_apery, gcd_reduce, two_var_membership
 
 
 def _mismatch(what: str, formula, enumerated, gens: GeneratorTuple, p: int | None) -> None:
@@ -207,28 +203,27 @@ def _verify_extras(semigroup: PSemigroup, report: dict) -> None:
         _mismatch("symmetry flags against the PF set", claimed, pf, gens, p)
     trunc = 2 * (semigroup.frobenius + 1) + gens.least
     check_series(semigroup, hilbert_direct(semigroup, trunc), gaps_series(semigroup, trunc))
-    got = (report["frobenius"], report["genus"], report["sylvester_sum"])
+    # The closed forms are whole Apery tuples mod a1, each a witness for
+    # every membership bit.  A validated tuple has gcd 1 and ascends
+    # strictly, so they need no coprimality or positive-step test.
     reduction = gcd_reduce(gens)
-    if reduction.d > 1:
-        r = build_psemigroup(reduction.reduced, p)
-        sylvester = gap_power_sums(apery_set(r), 1)[1]
-        lifted = lift_invariants(reduction, r.frobenius, r.gap_count, sylvester)
-        if lifted != got:
-            _mismatch("gcd-reduction lift", lifted, got, gens, p)
-    # A validated tuple has gcd 1 and ascends strictly, so the closed forms
-    # need no coprimality or positive-step test.
-    elements = gens.elements
-    if len(elements) == 2 and elements[0] >= 2:
-        closed = two_var_invariants(*elements, p)
-        if closed != got:
-            _mismatch("two-generator closed forms", closed, got, gens, p)
-    if len(elements) == 3:
-        a, b, c = elements
-        if c - b == b - a and a >= 3 and p <= a // 2:
-            closed = arith_invariants(a, b - a, p)
-            got = (report["frobenius"], report["genus"], report["ell0"])
-            if closed != got:
-                _mismatch("arithmetic-triple closed forms", closed, got, gens, p)
+    a1, d = reduction.a1, reduction.d
+    if d > 1:
+        reduced = build_psemigroup(reduction.reduced, p).membership
+        lifted = sorted(d * w for w in _least_per_class(reduced, a1))
+        direct = sorted(_least_per_class(semigroup.membership, a1))
+        if lifted != direct:
+            _mismatch("gcd-reduction lift", lifted, direct, gens, p)
+    a, b, *rest = gens.elements
+    if not rest:
+        closed, what = _two_var_apery(a, b, p), "two-generator"
+    elif rest == [2 * b - a] and a >= 3 and p <= a // 2:
+        closed, what = _arith_apery(a, b - a, p), "arithmetic-triple"
+    else:
+        return
+    ap = apery_set(semigroup)
+    if closed != ap:
+        _mismatch(f"{what} Apery tuple", closed, ap, gens, p)
 
 
 def build_invariant_report(

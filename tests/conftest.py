@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -19,6 +20,28 @@ def _build(gens: tuple[int, ...], p: int):
 def build():
     """Memoized (gens, p) -> PSemigroup shared across the whole run."""
     return _build
+
+
+def _lift_invariants(reduction, frobenius: int, genus: int, sylvester_sum: int):
+    """The paper's lift of (frobenius, genus, sylvester_sum) from the reduced tuple.
+
+    With a1 and d from ``reduction``, each value is asserted integral.
+    """
+    a1, d = reduction.a1, reduction.d
+    lifted_genus = d * genus + Fraction((d - 1) * (a1 - 1), 2)
+    lifted_sum = (
+        d * d * sylvester_sum
+        + Fraction(a1 * d * (d - 1), 2) * genus
+        + Fraction((a1 - 1) * (d - 1) * (2 * a1 * d - a1 - d - 1), 12)
+    )
+    assert lifted_genus.denominator == lifted_sum.denominator == 1
+    return d * frobenius + (d - 1) * a1, int(lifted_genus), int(lifted_sum)
+
+
+@pytest.fixture(scope="session")
+def lift_invariants():
+    """(reduction, frobenius, genus, sylvester_sum) -> the lifted triple, by the paper's formulas."""
+    return _lift_invariants
 
 
 # The child reads its own VmHWM: a child's ru_maxrss on Linux starts from

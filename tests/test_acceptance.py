@@ -30,7 +30,6 @@ from psemigroups import (
     is_p_completely_symmetric,
     is_p_pseudo_symmetric,
     is_p_symmetric,
-    lift_invariants,
     minimal_generators,
     pf_via_apery_maximals,
     pf_via_gap_maximals,
@@ -69,7 +68,7 @@ def _members_upto(S, n):
     return [k for k in range(n + 1) if S.contains(k)]
 
 
-def test_criterion_1_paper_example_regression(build):
+def test_criterion_1_paper_example_regression(build, lift_invariants):
     # S_p listings for {3, 10, 17}, p = 0..4
     listings = {
         0: ([3, 6, 9, 10, 12, 13], 15),

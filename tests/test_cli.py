@@ -703,6 +703,10 @@ def _flip_bit_zero(word: int) -> int:
     return word ^ 1
 
 
+def _bump_first(entries: tuple) -> tuple:
+    return (entries[0] + 1, *entries[1:])
+
+
 @pytest.mark.parametrize(
     "module, name, corrupt, argv, where",
     [
@@ -717,7 +721,11 @@ def _flip_bit_zero(word: int) -> int:
         ("report", "pseudo_frobenius", lambda pf: pf[:-1], "invariants", "p=1"),
         ("report", "pf_via_apery_maximals", lambda pf: pf[:-1], "invariants", "p=1"),
         ("report", "minimal_generators_min_plus", lambda gens: gens[:-1], "invariants", "p=1"),
-        ("report", "lift_invariants", lambda t: (t[0] + 1, *t[1:]), "invariants", "p=1"),
+        # the three closed Apery tuples; the lift reads both builds with
+        # _least_per_class, and on 3,5 reduces at a1 = 3 with d = 5
+        ("report", "_two_var_apery", _bump_first, "invariants", "p=1"),
+        ("report", "_least_per_class", _bump_first, "invariants", "p=1"),
+        ("report", "_arith_apery", _bump_first, "invariants --gens 3,5,7", "p=1"),
         ("cli", "minimal_generators_lower_half", lambda gens: gens[:-1], "decompose", "p=1"),
         ("report", "_member_word", _flip_bit_zero, "decompose", "p=1"),
     ],
@@ -725,19 +733,25 @@ def _flip_bit_zero(word: int) -> int:
 def test_verify_cross_checks_exit_1_naming_gens_and_p(
     capsys, monkeypatch, module, name, corrupt, argv, where
 ):
-    """Each shared --verify check fails its command when its oracle disagrees."""
+    """Each shared --verify check fails its command when its oracle disagrees.
+
+    The generators are 3,5 unless ``argv`` names its own after the command.
+    """
     import importlib
 
     owner = importlib.import_module(f"psemigroups.{module}")
     real = getattr(owner, name)
     monkeypatch.setattr(owner, name, lambda *args: corrupt(real(*args)))
     command, *extra = argv.split()
+    gens = "3,5"
+    if extra[:1] == ["--gens"]:
+        _, gens, *extra = extra
     p = [] if command == "denumerant" else ["-p", "1"]
-    base = [command, "--gens", "3,5", *p, *extra]
+    base = [command, "--gens", gens, *p, *extra]
     assert run(capsys, base)[0] == 0
     code, out, err = run(capsys, [*base, "--verify"])
     assert (code, out) == (1, "")
-    assert f"for gens=(3, 5) {where}".strip() + "\n" in err
+    assert f"for gens=({gens.replace(',', ', ')}) {where}".strip() + "\n" in err
 
 
 @pytest.mark.parametrize("entry, what", [(0, "genus"), (1, "sylvester sum")])

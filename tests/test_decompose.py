@@ -22,7 +22,7 @@ from psemigroups import (
     verify_decomposition,
 )
 from psemigroups.core import _FLIP, _bits
-from psemigroups.decompose import _completion
+from psemigroups.decompose import _completion, _is_semigroup
 
 # the two components printed for the p = 2 semigroup over {5, 9, 16}
 PAIR_A = sorted(set([41, 43, 45, 46, 48]) | set(range(50, 200)))
@@ -201,6 +201,35 @@ def test_verify_decomposition_rejects_bad_lists(build):
     assert not verify_decomposition(T, [other])
     # reducible component: T itself
     assert not verify_decomposition(T, [T])
+
+
+@pytest.mark.parametrize("table", [b"\x00", b"\x00\x00", b"\x00\x01\x00"])
+def test_decomposition_rejects_a_table_without_zero(table):
+    with pytest.raises(ValidationError):
+        irreducible_decomposition(FiniteSemigroup(table))
+    assert not verify_decomposition(FiniteSemigroup(table), [FiniteSemigroup(table)])
+
+
+@pytest.mark.parametrize("table", [b"\x01\x01\x00", b"\x01\x00\x01\x00\x00"])
+def test_verify_decomposition_rejects_a_table_not_closed(table):
+    """The walk's components pair and meet in the input, so only closure fails."""
+    S = FiniteSemigroup(table)
+    components = irreducible_decomposition(S)
+    assert intersect(components) == S
+    assert all(map(is_irreducible_classic, components))
+    assert not verify_decomposition(S, components)
+
+
+def test_closure_check_matches_the_definition():
+    """Every 0/1 table up to 11 bytes: holds 0 and closed under addition
+    (sums past the table are members) iff ``_is_semigroup``."""
+    for length in range(12):
+        for bits in range(1 << length):
+            table = bytes(bits >> n & 1 for n in range(length))
+            members = [n for n in range(length) if table[n]]
+            closed = all(_member(table, s + t) for s in members for t in members)
+            expected = _member(table, 0) and closed
+            assert _is_semigroup(FiniteSemigroup(table)) == expected, table
 
 
 def _small_case(case):

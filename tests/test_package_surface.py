@@ -7,7 +7,8 @@ another module of the package or by the benchmark, so no library-only
 wrapper comes back.  ``core`` alone knows the
 membership-table format: no other module pads or translates a table itself,
 defines a format routine, or imports one from anywhere but ``core``.
-``apery_set`` alone reads the Apery tuple a ``PSemigroup`` was built with.
+``apery_set`` alone reads the Apery tuple a ``PSemigroup`` was built with,
+and ``apery`` alone imports ``fractions``.
 """
 
 import ast
@@ -170,6 +171,19 @@ def test_only_apery_reads_the_built_apery_tuple(module):
         if isinstance(node, ast.Attribute) and node.attr == "apery"
     ]
     assert reads == []
+
+
+def test_only_apery_imports_fractions():
+    """Every rational intermediate is a Bernoulli number of ``gap_power_sums``,
+    so no scalar formula can come back beside it."""
+    importers = [
+        module
+        for module in MODULES
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+        or isinstance(node, ast.Import) and "fractions" in [alias.name for alias in node.names]
+    ]
+    assert importers == ["apery.py"]
 
 
 def test_only_classify_reads_the_pairing():
