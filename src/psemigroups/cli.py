@@ -4,10 +4,10 @@ Each command is a function from a validated generator tuple and typed
 fields to data, a dict or, for ``sweep``, a list of rows; it prints
 nothing.  Two tables hold the whole job schema: ``COMMANDS`` maps each
 command to its function and renderers, and ``_FIELDS`` maps each field to
-its JSON type, option spelling and argparse keywords.  A command takes the
-fields its function's signature names, and needs those without a default.
-``main`` builds one argv parser per command from these, and ``batch``
-checks each JSON job against them.
+its JSON type, option spellings and help.  A command takes the fields its
+function's signature names, and needs those without a default.  ``main``
+reads argv through one flag table per command derived from these, and
+``batch`` checks each JSON job against them.
 
 Exit codes are a stable contract: 0 success, 1 internal-consistency
 failure, 2 input validation error.  JSON output is canonical (fixed field
@@ -17,7 +17,6 @@ Sylvester sums, power sums, denumerants — are emitted as decimal strings.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import inspect
 import json
@@ -43,8 +42,8 @@ SWEEP_RANGE_LIMIT = 10**4
 MU_LIMIT = 100
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"), sort_keys=False)
+# json.dumps with non-default arguments builds a new encoder on every call
+canonical_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def cmd_invariants(
@@ -270,19 +269,17 @@ def _warn_non_minimal(gens: GeneratorTuple, quiet: bool) -> None:
         )
 
 
-# Every field a command may take: its batch JSON type, its argv spelling and
-# the argparse keywords of that option.  A command takes the fields its
-# function names, and needs those without a default, on argv and in batch
-# alike; argv reads -p as text because sweep takes a range there.
+# Every field a command may take: its batch JSON type, its argv spellings and
+# their help.  A command takes the fields its function names, and needs those
+# without a default, on argv and in batch alike.  On argv a bool field is a
+# switch and an int field takes one value, but -p is read as text because
+# sweep takes a range there.
 _FIELDS = {
-    "p": (int, ("-p", "--p"), {"help": "threshold: N, or A..B for sweep"}),
-    "n": (int, ("-n",), {"type": int, "help": "the integer n"}),
-    "mu": (int, ("--mu",), {"type": int, "help": f"largest power-sum exponent, 0..{MU_LIMIT}"}),
-    "trunc": (int, ("--trunc",), {"type": int, "help": "truncation (default 4*(frobenius+1))"}),
-    "verify": (bool, ("--verify",), {
-        "action": "store_true",
-        "help": "run the independent oracles too and exit 1 on any mismatch",
-    }),
+    "p": (int, ("-p", "--p"), "threshold: N, or A..B for sweep"),
+    "n": (int, ("-n",), "the integer n"),
+    "mu": (int, ("--mu",), f"largest power-sum exponent, 0..{MU_LIMIT}"),
+    "trunc": (int, ("--trunc",), "truncation (default 4*(frobenius+1))"),
+    "verify": (bool, ("--verify",), "run the independent oracles too and exit 1 on any mismatch"),
 }
 
 
@@ -379,29 +376,74 @@ def cmd_batch(jobs: str) -> int:
 
 
 @functools.cache
-def _parser(command: str) -> argparse.ArgumentParser:
-    """The argv parser of one command, from its function's signature and renderers.
+def _argv_table(command: str) -> tuple[dict, list[str], str]:
+    """The argv flags of one command, its required flags and its help text.
 
-    An option left out is left out of the namespace, so the command's own
-    default applies, as it does to a batch job; a parameter without a
-    default is a required option.
+    Each flag maps to the field it sets and how: ``int`` or ``str`` reads one
+    value, anything else is the constant a switch stores.  The fields are
+    those a batch job takes, so argv and batch agree by construction.
     """
     function, renderers = COMMANDS[command]
-    parser = argparse.ArgumentParser(
-        prog=f"psg {command}", description=function.__doc__, argument_default=argparse.SUPPRESS
-    )
-    parser.add_argument("--gens", required=True, help="comma-separated generators")
-    taken = _parameters(function)
-    for key, (_, flags, keywords) in _FIELDS.items():
-        if key in taken:
-            parser.add_argument(*flags, required=taken[key], **keywords)
-    formats = parser.add_mutually_exclusive_group()
-    for key in renderers:
-        formats.add_argument(f"--{key}", dest="format", action="store_const", const=key,
-                             help=f"{key} output")
-    parser.add_argument("--quiet", action="store_true", help="suppress warnings")
-    parser.set_defaults(format=next(iter(renderers)))
-    return parser
+    takes, needs = _job_fields(command)
+    options = [
+        (("--gens",), "gens", str, "comma-separated generators"),
+        *(
+            (flags, key, True if kind is bool else str if key == "p" else kind, text)
+            for key, (kind, flags, text) in _FIELDS.items()
+            if key in takes
+        ),
+        *(((f"--{key}",), "format", key, f"{key} output") for key in renderers),
+        (("--quiet",), "quiet", True, "suppress warnings"),
+    ]
+    table = {flag: (key, how) for flags, key, how, _ in options for flag in flags}
+    required = ["--gens", *(_FIELDS[key][1][0] for key in needs)]
+    usage = " ".join(f"{flag} {table[flag][0].upper()}" for flag in required)
+    text = f"usage: psg {command} {usage} [options]\n{function.__doc__.splitlines()[0]}\n"
+    text += "".join(f"  {', '.join(flags):<9} {line}\n" for flags, _, _, line in options)
+    return table, required, text
+
+
+def _parse_argv(command: str, args: list[str]) -> dict | None:
+    """The fields of one argv job by the flag table, or None for ``-h``.
+
+    A value follows its flag as the next word or after ``=``, or right
+    after a short flag (``-p5``); the last repeat of an option wins.  A word
+    that is no flag of the command, a missing value, a switch given a value,
+    a non-integer value and a second format raise ValidationError.
+    """
+    table, required, _ = _argv_table(command)
+    fields = {}
+    words = iter(args)
+    for word in words:
+        flag, eq, value = word.partition("=")
+        if flag not in table and word[:2] in table:  # a short flag and its value
+            flag, eq, value = word[:2], "=", word[2:]
+        if flag in ("-h", "--help") and not eq:
+            return None
+        if flag not in table:
+            raise ValidationError(f"unrecognized argument {word!r}")
+        key, how = table[flag]
+        if how is int or how is str:
+            if not eq:
+                value = next(words, "-")
+                if value[:1] == "-" and not value[1:].isdigit():  # a flag, or nothing
+                    raise ValidationError(f"argument {flag}: expected one argument")
+            if how is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise ValidationError(f"argument {flag}: invalid int value: {value!r}")
+        elif eq:
+            raise ValidationError(f"argument {flag}: ignored explicit argument {value!r}")
+        else:
+            if fields.get(key, how) != how:  # only formats differ
+                raise ValidationError(f"argument {flag}: not allowed with argument --{fields[key]}")
+            value = how
+        fields[key] = value
+    missing = [flag for flag in required if table[flag][0] not in fields]
+    if missing:
+        raise ValidationError(f"the following arguments are required: {', '.join(missing)}")
+    return fields
 
 
 def _usage() -> str:
@@ -421,8 +463,11 @@ def main(argv=None) -> int:
             helped = command in ("-h", "--help")
             print(_usage(), end="", file=sys.stdout if helped else sys.stderr)
             return 0 if helped else 2
-        fields = vars(_parser(command).parse_args(args))
-        fmt = fields.pop("format")
+        fields = _parse_argv(command, args)
+        if fields is None:
+            sys.stdout.write(_argv_table(command)[2])
+            return 0
+        fmt = fields.pop("format", next(iter(COMMANDS[command][1])))
         gens = _parse_gens(fields.pop("gens"))
         _warn_non_minimal(gens, fields.pop("quiet", False))
         if "p" in fields:

@@ -252,7 +252,11 @@ def _is_minimal(elements: tuple[int, ...]) -> bool:
             for _ in range(a1 // d - 1):
                 n += a
                 r = n % a1
-                n = least[r] = min(n, least[r])
+                m = least[r]
+                if m < n:
+                    n = m
+                else:
+                    least[r] = n
     return least[last % a1] > last
 
 

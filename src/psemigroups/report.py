@@ -11,13 +11,13 @@ adds the heavier re-derivations, each sharing no kernel with the planes:
 membership from the count table (which shares only their shift schedule),
 the minimal generators from the cheaper of the min-plus square and the scan
 (counted against the embedding dimension), the scanned valuation lengths,
-brute-force power sums over the gap list (one running product per
-exponent), three-way pseudo-Frobenius agreement, the symmetry flags
-against that PF set, the Hilbert factorization identity, and the closed
-forms as whole Apery tuples, each a witness for every membership bit at
-O(a1) cost: the gcd-reduction lift of a separately built reduced tuple,
-and the two-generator or arithmetic-triple tuple when the generators form
-one.  Each oracle whose work can outgrow the membership table has it
+brute-force power sums over the gaps (one running product per exponent,
+streamed over chunks of the table), three-way pseudo-Frobenius agreement,
+the symmetry flags against that PF set, the Hilbert factorization
+identity, and the closed forms as whole Apery tuples, each a witness for
+every membership bit at O(a1) cost: the gcd-reduction lift of a
+separately built reduced tuple, and the two-generator or arithmetic-triple
+tuple when the generators form one.  Each oracle whose work can outgrow the membership table has it
 estimated and checked against the size cap before it runs; the two count
 oracles check their own.
 ``check_series`` and ``check_denumerant`` are the checks the ``hilbert``,
@@ -28,7 +28,7 @@ oracles check their own.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import compress, count, repeat
 from operator import mul
 
 from .core import (
@@ -40,7 +40,6 @@ from .enumeration import (
     build_psemigroup,
     denumerant_oracle,
     embedding_dimension,
-    gaps,
     membership_oracle,
     minimal_generators_min_plus,
     minimal_generators_scan,
@@ -57,6 +56,8 @@ from .symmetry import (
 from .decompose import FiniteSemigroup
 from .hilbert import PowerSeries, gaps_series, hilbert_direct, hilbert_from_apery
 from .closed_forms import _arith_apery, _two_var_apery, gcd_reduce, two_var_membership
+
+_CHUNK = 1 << 16  # table bytes per step of the streamed power-sum oracle
 
 
 def _mismatch(what: str, formula, enumerated, gens: GeneratorTuple, p: int | None) -> None:
@@ -175,13 +176,20 @@ def _verify_extras(semigroup: PSemigroup, report: dict) -> None:
         scanned = valuation_lengths_scan(semigroup)
         if valuation != scanned:
             _mismatch("valuation lengths", valuation, scanned, gens, p)
-    gap_list = gaps(semigroup)
-    powers = repeat(1)
-    for mu, value in report["power_sums"].items():  # mu = 1, 2, ...
-        powers = list(map(mul, powers, gap_list))
-        brute = sum(powers)
-        if value != brute:
-            _mismatch(f"power sum mu={mu}", value, brute, gens, p)
+    # one running product per exponent over each chunk's gaps, never a list
+    # of all of them
+    claimed = report["power_sums"]  # mu = 1, 2, ...
+    brute = dict.fromkeys(claimed, 0)
+    table = semigroup.membership
+    for start in range(0, len(table), _CHUNK):
+        chunk = list(compress(count(start), table[start : start + _CHUNK].translate(_FLIP)))
+        powers = repeat(1)
+        for mu in brute:
+            powers = list(map(mul, powers, chunk))
+            brute[mu] += sum(powers)
+    for mu in claimed:
+        if claimed[mu] != brute[mu]:
+            _mismatch(f"power sum mu={mu}", claimed[mu], brute[mu], gens, p)
     pf = report["pf"]  # the Apery-maximal reading, checked against two oracles
     via_definition, via_gaps = pseudo_frobenius(semigroup), pf_via_gap_maximals(semigroup)
     if not (pf == via_definition == via_gaps):

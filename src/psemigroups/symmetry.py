@@ -209,7 +209,10 @@ def pf_via_apery_maximals(semigroup: PSemigroup) -> list[int]:
     out = []
     for i, w in enumerate(elements):
         shift = least - w
-        if not any(window[v + shift] for v in elements[:i]):
+        for v in elements[:i]:
+            if window[v + shift]:
+                break
+        else:
             out.append(w - a)
     return out[::-1]
 

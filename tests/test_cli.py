@@ -1,8 +1,11 @@
+import argparse
+import functools
 import hashlib
 import inspect
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,7 +16,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import psemigroups
-from psemigroups.cli import COMMANDS, canonical_json, cmd_hilbert, main
+from psemigroups.cli import COMMANDS, _argv_table, _parse_argv, canonical_json, cmd_hilbert, main
+from psemigroups.core import ValidationError
 
 REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "references"
 
@@ -377,9 +381,8 @@ def test_table_cap_bounds_user_sized_tables(capsys, monkeypatch):
 
 def test_parser_reused_after_errors_gives_fresh_process_output(capsys):
     good = ["invariants", "--gens", "6,17,28", "-p", "5"]
-    with pytest.raises(SystemExit) as exc:
-        main(["invariants", "--gens", "6,17,28", "--json", "--csv"])
-    assert exc.value.code == 2
+    assert "--csv" not in _argv_table("invariants")[0]
+    assert run(capsys, ["invariants", "--gens", "6,17,28", "--json", "--csv"])[:2] == (2, "")
     assert run(capsys, ["invariants", "--gens", "4,6", "--json", "--verify"])[0] == 2
     code, out, _ = run(capsys, good)
     src = str(Path(psemigroups.__file__).resolve().parents[1])
@@ -493,13 +496,16 @@ def test_text_and_csv_output_is_exact(capsys, argv, expected):
         ["denumerant", "--gens", "3,5", "-n", "7", "--csv"],
         ["decompose", "--gens", "3,5", "--csv"],
         ["denumerant", "--gens", "3,5", "-n", "7", "-p", "0..9"],
+        ["invariants", "--gen", "3,5"],  # no unique-prefix abbreviations
     ],
 )
 def test_options_a_command_does_not_honour_are_rejected(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    """The flag table of the command lacks the option; it exits 2 naming it."""
+    flags = _argv_table(argv[0])[0]
+    rejected = [word for word in argv[1:] if word.startswith("-") and word not in flags]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert rejected and repr(rejected[0]) in err
 
 
 @pytest.mark.parametrize("mu", ["400", "101", "-3"])
@@ -707,6 +713,11 @@ def _bump_first(entries: tuple) -> tuple:
     return (entries[0] + 1, *entries[1:])
 
 
+def _bump_mu_2(sums: list) -> list:
+    """Entry 2 of ``gap_power_sums``: the default path checks only 0 and 1."""
+    return [*sums[:2], sums[2] + 1, *sums[3:]]
+
+
 @pytest.mark.parametrize(
     "module, name, corrupt, argv, where",
     [
@@ -720,6 +731,7 @@ def _bump_first(entries: tuple) -> tuple:
         ("report", "pf_via_gap_maximals", lambda pf: pf[:-1], "invariants", "p=1"),
         ("report", "pseudo_frobenius", lambda pf: pf[:-1], "invariants", "p=1"),
         ("report", "pf_via_apery_maximals", lambda pf: pf[:-1], "invariants", "p=1"),
+        ("report", "gap_power_sums", _bump_mu_2, "invariants", "p=1"),
         ("report", "minimal_generators_min_plus", lambda gens: gens[:-1], "invariants", "p=1"),
         # the three closed Apery tuples; the lift reads both builds with
         # _least_per_class, and on 3,5 reduces at a1 = 3 with d = 5
@@ -802,6 +814,23 @@ def test_verify_checks_the_symmetry_flags_against_the_pf_set(capsys, monkeypatch
     assert (code, out) == (1, "")
     assert "symmetry flags against the PF set" in err
     assert err.endswith(f"for gens=({gens.replace(',', ', ')}) p={p}\n")
+
+
+def test_verify_power_sums_stream_over_the_table(peak_rss_kib):
+    """A two-generator ``--verify`` process grows by under 64 bytes per frontier entry.
+
+    Its peak was 127 MB against 17 MB for ``--gens 3,5``, at a frontier of
+    3,022,115 (2-vCPU Xeon VM, CPython 3.11.7).  Brute-force power sums
+    over a list of all 2,521,714 gaps, one running product list per
+    exponent, peaked at 430 MB, about 143 bytes per entry.
+    """
+    from psemigroups.core import validate_generators
+    from psemigroups.enumeration import build_psemigroup
+
+    frontier = build_psemigroup(validate_generators([101, 10007]), 2).frontier
+    job = ["invariants", "--gens", "101,10007", "-p", "2", "--json", "--verify"]
+    grown = peak_rss_kib(job) - peak_rss_kib(["invariants", "--gens", "3,5", "--json"])
+    assert grown * 1024 < 64 * frontier
 
 
 # Jobs whose build and default report fit under the cap, but one --verify
@@ -929,20 +958,10 @@ def test_input_errors_exit_2_with_their_message(
 ):
     if cap is not None:
         monkeypatch.setenv("PSG_MAX_TABLE", cap)
-    assert _exit(capsys, argv) == (2, "", f"error: {words}\n")
+    assert run(capsys, argv) == (2, "", f"error: {words}\n")
     if job is not None:
         line = {"error": batch_words, "exit": 2, "line": 1}
         assert _batch(monkeypatch, capsys, [json.dumps(job)]) == (2, [line])
-
-
-def _exit(capsys, argv):
-    """main's exit code, whether it returns it or argparse raises it."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def _taken(command):
@@ -951,12 +970,11 @@ def _taken(command):
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_argv_and_batch_take_the_same_fields(command):
-    """A command's parser has an option for each field its signature names, batch a key."""
-    from psemigroups.cli import _parse_job, _parser
-    from psemigroups.core import ValidationError
+    """A command's flag table has a flag for each field its signature names, batch a key."""
+    from psemigroups.cli import _parse_job
 
-    options = {action.dest for action in _parser(command)._actions}
-    assert options - {"help", "gens", "format", "quiet"} == _taken(command)
+    options = {key for key, _ in _argv_table(command)[0].values()}
+    assert options - {"gens", "format", "quiet"} == _taken(command)
     in_batch = set()
     needed = {"n": 1} if "n" in _taken(command) else {}
     for key in ("p", "n", "mu", "trunc", "verify", "verfy"):
@@ -969,6 +987,136 @@ def test_argv_and_batch_take_the_same_fields(command):
     assert in_batch == _taken(command)
 
 
+# The argparse keywords of each field, as the parser before the flag table took them.
+_ARGPARSE = {
+    "n": {"type": int},
+    "mu": {"type": int},
+    "trunc": {"type": int},
+    "verify": {"action": "store_true"},
+}
+
+
+@functools.cache
+def _argparse_parser(command: str) -> argparse.ArgumentParser:
+    """The argparse parser that read argv before the flag table, kept as its oracle.
+
+    An option left out is left out of the namespace, so the command's own
+    default applies; a parameter without a default is a required option.
+    """
+    from psemigroups.cli import _FIELDS, _parameters
+
+    function, renderers = COMMANDS[command]
+    parser = argparse.ArgumentParser(
+        prog=f"psg {command}", description=function.__doc__, argument_default=argparse.SUPPRESS
+    )
+    parser.add_argument("--gens", required=True)
+    taken = _parameters(function)
+    for key, (_, flags, _) in _FIELDS.items():
+        if key in taken:
+            parser.add_argument(*flags, required=taken[key], **_ARGPARSE.get(key, {}))
+    formats = parser.add_mutually_exclusive_group()
+    for key in renderers:
+        formats.add_argument(f"--{key}", dest="format", action="store_const", const=key)
+    parser.add_argument("--quiet", action="store_true")
+    parser.set_defaults(format=next(iter(renderers)))
+    return parser
+
+
+_VALUES = {
+    "gens": ["3,5", "6,17,28", "3,x"],
+    "p": ["2", "0..3", "-1", "x"],
+    "n": ["7", "-4", "x"],
+    "mu": ["5", "x"],
+    "trunc": ["9", "x"],
+}
+
+
+def _spellings(flag: str, value: str) -> list[list[str]]:
+    """``--name value``, ``--name=value`` and, for a short flag, ``-p5``."""
+    return [[flag, value], [f"{flag}={value}"]] + ([[flag + value]] if len(flag) == 2 else [])
+
+
+def _spelled_argvs(command: str) -> list[list[str]]:
+    """One valid argv of ``command`` per flag and spelling, its words shuffled."""
+    rng = random.Random(f"spelled {command}")
+    table = _argv_table(command)[0]
+    needed = [["--gens", "3,5"], *([["-n", "7"]] if "-n" in table else [])]
+    grid = []
+    for flag, (key, _) in table.items():
+        for spelling in _spellings(flag, _VALUES[key][0]) if key in _VALUES else [[flag]]:
+            groups = [*needed, spelling]
+            rng.shuffle(groups)
+            grid.append([word for group in groups for word in group])
+    return grid
+
+
+def _argv_grid(command: str) -> list[list[str]]:
+    """Shuffled argvs of ``command``, with every fault the flag table must refuse.
+
+    Each flag of the command is present or not at random, in a random
+    spelling and with a valid or non-integer value, so options repeat,
+    formats clash and required ones go missing; some argvs add an unknown
+    word, a switch given a value, or a value flag with no value after it.
+    """
+    rng = random.Random(f"argv grid {command}")
+    table = _argv_table(command)[0]
+    valued = [flag for flag, (key, how) in table.items() if how in (int, str)]
+    grid = []
+    for _ in range(300):
+        groups = []
+        for flag, (key, _) in table.items():
+            if rng.random() < (0.85 if key in ("gens", "n") else 0.3):
+                if key in _VALUES:
+                    groups.append(rng.choice(_spellings(flag, rng.choice(_VALUES[key]))))
+                else:
+                    groups.append([flag])
+        fault = rng.randrange(8)
+        if fault == 0:
+            groups.append([rng.choice(["--bogus", "-x", "extra", "--verify=x", "--quiet=1"])])
+        elif fault == 1:
+            groups.append([rng.choice(valued), rng.choice(["--quiet", "--verify", "-h"])])
+        rng.shuffle(groups)
+        argv = [word for group in groups for word in group]
+        grid.append(argv + [rng.choice(valued)] if fault == 2 else argv)
+    return grid
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_flag_table_reads_argv_as_the_argparse_oracle_did(capsys, command):
+    """Both parsers give the same format, --gens text, quiet flag and fields, or both exit 2.
+
+    Unique-prefix abbreviations, which argparse took and the flag table
+    refuses, stay out of the grid.  Every flag of the command is read in
+    each of its spellings by an argv that both accept.
+    """
+    default = next(iter(COMMANDS[command][1]))
+    spelled = _spelled_argvs(command)
+    for argv in spelled + _argv_grid(command):
+        try:
+            oracle = vars(_argparse_parser(command).parse_args(argv))
+        except SystemExit as exc:
+            assert exc.code == 2
+            oracle = 2
+        try:
+            fields = _parse_argv(command, argv)
+        except ValidationError:
+            fields = 2
+        else:
+            fields.setdefault("format", default)
+        assert fields == oracle, argv
+        assert oracle != 2 or argv not in spelled, argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_help_lists_every_option(capsys, command):
+    code, out, err = run(capsys, [command, "-h"])
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: psg {command} ")
+    assert COMMANDS[command][0].__doc__.splitlines()[0] + "\n" in out
+    assert set(_argv_table(command)[0]) <= set(out.replace(",", " ").split())
+
+
 @pytest.mark.parametrize(
     "job",
     [{"command": "membership", "gens": [3, 5], "p": 1}, {"command": "denumerant", "gens": [3, 5]}],
@@ -977,7 +1125,7 @@ def test_argv_and_batch_take_the_same_fields(command):
 def test_a_job_without_n_exits_2_on_argv_and_in_batch(capsys, monkeypatch, job):
     """n has no default: argv requires -n, and a batch line without it gets an exit-2 line."""
     argv = [job["command"], "--gens", "3,5", *(["-p", "1"] if "p" in job else [])]
-    code, out, err = _exit(capsys, argv)
+    code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert "required: -n" in err and "Traceback" not in err
     line = {"error": f"batch command {job['command']!r} needs ['n']", "exit": 2, "line": 1}
@@ -991,7 +1139,7 @@ def test_a_mistyped_field_exits_2_on_argv_and_in_batch(capsys, monkeypatch, comm
     n = ["-n", "7"] if "n" in _taken(command) and key != "n" else []
     option = {"p": "-p", "n": "-n"}.get(key, f"--{key}")
     bad = [f"{option}=x"] if key == "verify" else [option, "x"]
-    code, out, err = _exit(capsys, [command, "--gens", "3,5", *n, *bad])
+    code, out, err = run(capsys, [command, "--gens", "3,5", *n, *bad])
     assert (code, out) == (2, "")
     assert "Traceback" not in err
     job = {"command": command, "gens": [3, 5], key: "x"}
@@ -999,12 +1147,12 @@ def test_a_mistyped_field_exits_2_on_argv_and_in_batch(capsys, monkeypatch, comm
 
 
 def test_usage_lists_every_command_and_bad_invocations_exit_2(capsys):
-    code, out, _ = _exit(capsys, ["-h"])
+    code, out, _ = run(capsys, ["-h"])
     assert code == 0
     for command in [*COMMANDS, "batch"]:
         assert f"\n  {command} " in out
     for argv in [[], ["nosuch"], ["batch"], ["batch", "a", "b"]]:
-        code, out, err = _exit(capsys, argv)
+        code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
         assert "usage: psg" in err and "Traceback" not in err
 

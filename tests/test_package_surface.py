@@ -8,10 +8,13 @@ wrapper comes back.  ``core`` alone knows the
 membership-table format: no other module pads or translates a table itself,
 defines a format routine, or imports one from anywhere but ``core``.
 ``apery_set`` alone reads the Apery tuple a ``PSemigroup`` was built with,
-and ``apery`` alone imports ``fractions``.
+``apery`` alone imports ``fractions``, and no module imports ``argparse``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -173,17 +176,36 @@ def test_only_apery_reads_the_built_apery_tuple(module):
     assert reads == []
 
 
-def test_only_apery_imports_fractions():
-    """Every rational intermediate is a Bernoulli number of ``gap_power_sums``,
-    so no scalar formula can come back beside it."""
-    importers = [
+def _importers(name: str) -> list[str]:
+    """The package modules that import the module ``name``."""
+    return [
         module
         for module in MODULES
         for node in ast.walk(_tree(module))
-        if isinstance(node, ast.ImportFrom) and node.module == "fractions"
-        or isinstance(node, ast.Import) and "fractions" in [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom) and node.module == name
+        or isinstance(node, ast.Import) and name in [alias.name for alias in node.names]
     ]
-    assert importers == ["apery.py"]
+
+
+def test_only_apery_imports_fractions():
+    """Every rational intermediate is a Bernoulli number of ``gap_power_sums``,
+    so no scalar formula can come back beside it."""
+    assert _importers("fractions") == ["apery.py"]
+
+
+def test_no_module_imports_argparse():
+    """argv is read through the flag table of ``cli``, so a fresh ``psg``
+    process loads neither argparse nor the gettext it pulls in."""
+    assert _importers("argparse") == []
+    probe = "import sys, psemigroups.cli; print({'argparse', 'gettext'} & set(sys.modules))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        check=True,
+    )
+    assert loaded.stdout == "set()\n"
 
 
 def test_only_classify_reads_the_pairing():
