@@ -29,7 +29,6 @@ from .enumeration import (
     membership_oracle,
     minimal_generators,
     minimal_generators_lower_half,
-    minimal_generators_min_plus,
     minimal_generators_scan,
 )
 from .apery import (
@@ -116,7 +115,6 @@ __all__ = [
     "membership_oracle",
     "minimal_generators",
     "minimal_generators_lower_half",
-    "minimal_generators_min_plus",
     "minimal_generators_scan",
     "pf_via_apery_maximals",
     "pf_via_gap_maximals",

@@ -17,7 +17,6 @@ element plus the multiples of a.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from itertools import repeat
 from math import comb, lcm
 
@@ -39,18 +38,22 @@ def frobenius_from_apery(ap: tuple[int, ...]) -> int:
 
 
 @functools.cache
-def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n under the convention fixed by x/(e^x - 1).
+def bernoulli(n: int):
+    """Bernoulli number B_n, a ``fractions.Fraction``, as fixed by x/(e^x - 1).
 
     Generated by the recurrence sum_{j<=m} C(m+1, j) B_j = 0 (m >= 1), which
     forces B_1 = -1/2.  Memoized by ``functools.cache``; each call asks for
     B_0..B_{n-1} in ascending order, so the recursion stays two calls deep
     whatever index comes first.  A negative index raises, and nothing is
-    cached for it.
+    cached for it.  ``fractions`` (and the ``decimal`` it loads) is imported
+    here, for B_0, so that a process that needs no Bernoulli number never
+    loads it.
     """
     if n < 0:
         raise ValidationError("Bernoulli index must be non-negative")
     if n == 0:
+        from fractions import Fraction
+
         return Fraction(1)
     return -sum(comb(n + 1, j) * bernoulli(j) for j in range(n)) / (n + 1)
 
@@ -86,8 +89,9 @@ def gap_power_sums(ap: tuple[int, ...], mu_max: int) -> list[int]:
         total -= weights[n] * a
         value, rest = divmod(total, n * a * lcd)
         if rest or value < 0:
+            # B_0 = Fraction(1), so this is total / (n * a * lcd) in lowest terms
             raise NonIntegerResultError(
-                f"gap power sum (mu={n - 1}) evaluated to {Fraction(total, n * a * lcd)}"
+                f"gap power sum (mu={n - 1}) evaluated to {bernoulli(0) * total / (n * a * lcd)}"
             )
         out.append(value)
     return out

@@ -18,7 +18,6 @@ Sylvester sums, power sums, denumerants — are emitted as decimal strings.
 from __future__ import annotations
 
 import functools
-import inspect
 import json
 import sys
 
@@ -285,11 +284,15 @@ _FIELDS = {
 
 @functools.cache
 def _parameters(function) -> dict[str, bool]:
-    """Each parameter of a command's function, and whether a job must give it."""
-    return {
-        name: parameter.default is parameter.empty
-        for name, parameter in inspect.signature(function).parameters.items()
-    }
+    """Each parameter of a command's function, and whether a job must give it.
+
+    Read off the code object, whose positional parameters come first in
+    ``co_varnames``; the defaults belong to the last of them.
+    """
+    code = function.__code__
+    names = code.co_varnames[: code.co_argcount]
+    required = len(names) - len(function.__defaults__ or ())
+    return {name: i < required for i, name in enumerate(names)}
 
 
 _KINDS = {key: kind for key, (kind, _, _) in _FIELDS.items()}

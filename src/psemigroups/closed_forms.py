@@ -14,8 +14,8 @@ Nothing here runs enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .apery import frobenius_from_apery, gap_power_sums
 from .core import (
@@ -76,8 +76,7 @@ def two_var_membership(n: int, a: int, b: int, p: int) -> bool:
     return x0 >= p * b
 
 
-@dataclass(frozen=True)
-class GcdReduction:
+class GcdReduction(NamedTuple):
     """Reduction data: distinguished generator, gcd of the rest, reduced tuple."""
 
     a1: int

@@ -2,8 +2,12 @@
 
 Everything is exact: integers are arbitrary precision, the only rational
 numbers are the Bernoulli numbers of ``apery``, and there is no
-floating-point fallback anywhere.  All types are immutable after
-construction and safe to share across threads without synchronization.
+floating-point fallback anywhere.  The value types, ``GeneratorTuple`` and
+``PSemigroup`` here and ``FiniteSemigroup``, ``PowerSeries`` and
+``GcdReduction`` elsewhere, are ``typing.NamedTuple`` classes: tuples of
+their fields, so they are immutable, hashable, unpack in field order and
+compare equal to any tuple of equal fields, and ``_replace`` gives a changed
+copy.  They are safe to share across threads without synchronization.
 
 Only this module knows the table format.  Byte n of a membership table is 1
 iff the integer n is a member, and every integer past the table is a
@@ -20,9 +24,8 @@ so no other module pads one.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from math import gcd, inf
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class ValidationError(ValueError):
@@ -176,8 +179,7 @@ def _least_positive(table: bytes) -> int:
     return n if n > 0 else max(len(table), 1)
 
 
-@dataclass(frozen=True)
-class GeneratorTuple:
+class GeneratorTuple(NamedTuple):
     """Strictly ascending positive integers with overall gcd 1.
 
     ``minimal`` records whether the tuple is a minimal generating set of the
@@ -195,6 +197,11 @@ class GeneratorTuple:
     @property
     def least(self) -> int:
         return self.elements[0]
+
+
+# ``_replace`` builds its copy with ``_make``, which compares ``len`` with the
+# two fields and so fails on the ``__len__`` above; ``tuple.__new__`` does not.
+GeneratorTuple._make = classmethod(tuple.__new__)
 
 
 def validate_generators(raw: Sequence[int]) -> GeneratorTuple:
@@ -260,8 +267,7 @@ def _is_minimal(elements: tuple[int, ...]) -> bool:
     return least[last % a1] > last
 
 
-@dataclass(frozen=True)
-class PSemigroup:
+class PSemigroup(NamedTuple):
     """The integers with more than ``p`` representations, from their Apery tuple.
 
     ``apery[j]`` is the least member congruent to j modulo a1 = min(gens);

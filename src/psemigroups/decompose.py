@@ -23,7 +23,7 @@ unequal length are padded with members first, by ``core._window``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     InternalConsistencyError, PSemigroup, ValidationError,
@@ -33,8 +33,7 @@ from .enumeration import build_psemigroup
 from .symmetry import _pairs_exactly_one, pseudo_frobenius
 
 
-@dataclass(frozen=True)
-class FiniteSemigroup:
+class FiniteSemigroup(NamedTuple):
     """Additively closed subset of the non-negative integers containing 0.
 
     ``membership`` covers 0..frobenius and ends with a 0 byte (the Frobenius

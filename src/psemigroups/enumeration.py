@@ -46,7 +46,7 @@ sumset word shifted by the members of its lower half
 from __future__ import annotations
 
 import sys
-from itertools import chain, compress, count, repeat
+from itertools import compress, count, repeat
 from math import factorial, gcd, prod
 from struct import calcsize
 
@@ -403,6 +403,11 @@ def embedding_dimension(semigroup: PSemigroup) -> int:
 def _min_plus_ranges(semigroup: PSemigroup) -> list[range]:
     """The minimal generators of each class r, from pos[r] up to its least sum.
 
+    The min-plus oracle for ``minimal_generators``: about a1**2 / 2
+    additions in place of the sumset word.  It reads the Apery tuple, not
+    the membership bytes, so its cost does not grow with the Frobenius
+    number, and ``--verify`` counts the ranges without listing them.
+
     The least sum of class r is the least pos[i] + pos[j] with i + j = r mod
     a1, pos the least positive member per class.  Entry s of ``least``
     holds that min over the pairs i <= j with i + j = s, before the
@@ -421,16 +426,6 @@ def _min_plus_ranges(semigroup: PSemigroup) -> list[range]:
                 least[s] = n
             s += 1
     return list(map(range, pos, map(min, least[:a1], least[a1:]), repeat(a1)))
-
-
-def minimal_generators_min_plus(semigroup: PSemigroup) -> list[int]:
-    """Oracle for ``minimal_generators``: class bounds from the min-plus square.
-
-    About a1**2 / 2 additions in place of the sumset word.  It reads the
-    Apery tuple, not the membership bytes, and its cost does not grow with
-    the Frobenius number.
-    """
-    return sorted(chain.from_iterable(_min_plus_ranges(semigroup)))
 
 
 def minimal_generators_lower_half(semigroup: PSemigroup) -> list[int]:

@@ -14,14 +14,13 @@ stays bytes from the build to the output, where ``core._digits`` writes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import _FLIP, PSemigroup, ValidationError, _check_table_size, _window
 from .closed_forms import _arith_apery
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(NamedTuple):
     """Coefficients c_0..c_N of a 0/1 series truncated at degree N.
 
     Byte n of ``coefficients`` is c_n, as in a membership table.

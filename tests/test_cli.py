@@ -732,7 +732,8 @@ def _bump_mu_2(sums: list) -> list:
         ("report", "pseudo_frobenius", lambda pf: pf[:-1], "invariants", "p=1"),
         ("report", "pf_via_apery_maximals", lambda pf: pf[:-1], "invariants", "p=1"),
         ("report", "gap_power_sums", _bump_mu_2, "invariants", "p=1"),
-        ("report", "minimal_generators_min_plus", lambda gens: gens[:-1], "invariants", "p=1"),
+        # an empty range would leave the count as it is; range(1) adds one
+        ("report", "_min_plus_ranges", lambda ranges: [*ranges, range(1)], "invariants", "p=1"),
         # the three closed Apery tuples; the lift reads both builds with
         # _least_per_class, and on 3,5 reduces at a1 = 3 with d = 5
         ("report", "_two_var_apery", _bump_first, "invariants", "p=1"),
@@ -860,7 +861,7 @@ def test_verify_oracles_are_bounded_by_the_table_cap(capsys, monkeypatch, gens, 
         # p = 0, a1 = 503, embedding dimension 3: the scan's 5,766 steps
         # against the min-plus's 253,009
         ((503, 607, 701), 0, "minimal_generators_scan"),
-        ((3, 5), 1, "minimal_generators_min_plus"),
+        ((3, 5), 1, "_min_plus_ranges"),
     ],
 )
 def test_verify_picks_the_cheaper_generator_oracle(monkeypatch, gens, p, chosen):
@@ -868,7 +869,7 @@ def test_verify_picks_the_cheaper_generator_oracle(monkeypatch, gens, p, chosen)
     from psemigroups import validate_generators
 
     calls = []
-    for name in ("minimal_generators_scan", "minimal_generators_min_plus"):
+    for name in ("minimal_generators_scan", "_min_plus_ranges"):
         real = getattr(report_mod, name)
         spy = lambda semigroup, real=real, name=name: calls.append(name) or real(semigroup)
         monkeypatch.setattr(report_mod, name, spy)

@@ -84,6 +84,36 @@ def test_generator_one_allowed():
     assert not gt.minimal  # 5 = 5 * 1
 
 
+def test_value_types_are_frozen_hashable_named_tuples():
+    """The five value types are immutable, hashable tuples whose ``_replace``
+    gives a changed copy; ``len`` of a ``GeneratorTuple`` counts generators."""
+    from psemigroups import build_psemigroup
+    from psemigroups.closed_forms import gcd_reduce
+    from psemigroups.hilbert import PowerSeries
+
+    gens = validate_generators([3, 5, 7])
+    assert len(gens) == 3  # the generators, not the tuple's two fields
+    semigroup = build_psemigroup(gens, 1)
+    reduction = gcd_reduce(validate_generators([4, 6, 9]))
+    cases = [
+        (gens, "minimal", False),
+        (semigroup, "p", 2),
+        (FiniteSemigroup.from_psemigroup(semigroup), "membership", b"\x01\x00"),
+        (PowerSeries(b"\x01\x00\x01"), "coefficients", b"\x01"),
+        (reduction, "d", reduction.d + 1),
+    ]
+    for value, field, new in cases:
+        for name in (field, "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, new)
+        assert hash(value) == hash(type(value)(*value))
+        changed = value._replace(**{field: new})
+        assert type(changed) is type(value) and getattr(changed, field) == new
+        assert changed._replace(**{field: getattr(value, field)}) == value != changed
+    assert len(gens._replace(minimal=False)) == 3
+    assert FiniteSemigroup(b"").least_element == FiniteSemigroup.least_element == 0
+
+
 def test_idempotent():
     first = validate_generators([6, 7, 17, 28])
     second = validate_generators(list(first.elements))

@@ -1,6 +1,7 @@
 import sys
 import tracemalloc
 from functools import reduce
+from itertools import chain
 from math import gcd
 from time import perf_counter
 
@@ -21,7 +22,6 @@ from psemigroups import (
     membership_oracle,
     minimal_generators,
     minimal_generators_lower_half,
-    minimal_generators_min_plus,
     minimal_generators_scan,
     validate_generators,
     valuation_lengths,
@@ -646,6 +646,11 @@ gen_lists_from_1 = (
     .map(lambda xs: sorted(set(xs)))
     .filter(lambda xs: len(xs) >= 2 and reduce(gcd, xs) == 1)
 )
+
+
+def minimal_generators_min_plus(semigroup):
+    """The min-plus oracle as a sorted list: ``--verify`` only counts its ranges."""
+    return sorted(chain.from_iterable(enumeration._min_plus_ranges(semigroup)))
 
 
 @settings(max_examples=80, deadline=None)

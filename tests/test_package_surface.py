@@ -8,7 +8,9 @@ wrapper comes back.  ``core`` alone knows the
 membership-table format: no other module pads or translates a table itself,
 defines a format routine, or imports one from anywhere but ``core``.
 ``apery_set`` alone reads the Apery tuple a ``PSemigroup`` was built with,
-``apery`` alone imports ``fractions``, and no module imports ``argparse``.
+``apery`` alone imports ``fractions``, no module imports ``argparse``,
+``dataclasses`` or ``inspect``, and a cold ``psg`` process loads none of the
+heavier standard-library modules that these would pull in.
 """
 
 import ast
@@ -193,11 +195,19 @@ def test_only_apery_imports_fractions():
     assert _importers("fractions") == ["apery.py"]
 
 
-def test_no_module_imports_argparse():
-    """argv is read through the flag table of ``cli``, so a fresh ``psg``
-    process loads neither argparse nor the gettext it pulls in."""
-    assert _importers("argparse") == []
-    probe = "import sys, psemigroups.cli; print({'argparse', 'gettext'} & set(sys.modules))"
+# Modules a cold ``psg`` process does without: argparse and the gettext it
+# loads; dataclasses and inspect, which loads ast, dis and tokenize; and
+# fractions with its decimal, which only a Bernoulli number needs.
+COLD_START_UNLOADED = ("argparse", "gettext", "dataclasses", "inspect", "fractions", "decimal")
+
+
+def _newly_loaded(code: str, names) -> list[str]:
+    """The modules of ``names`` that a fresh interpreter loads while running ``code``,
+    beyond those its start-up loaded."""
+    probe = (
+        f"import sys\nbefore = set(sys.modules)\n{code}\n"
+        f"print(sorted(set({list(names)!r}) & (set(sys.modules) - before)))"
+    )
     loaded = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -205,7 +215,44 @@ def test_no_module_imports_argparse():
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
         check=True,
     )
-    assert loaded.stdout == "set()\n"
+    return ast.literal_eval(loaded.stdout.splitlines()[-1])
+
+
+def test_no_module_imports_argparse():
+    """The cold-import guard: no module imports argparse, dataclasses or inspect.
+
+    argv is read through the flag table of ``cli``, the value types are
+    NamedTuples, a command's parameters come off its code object, and
+    ``apery`` imports ``fractions`` only for B_0.  So neither a fresh
+    ``import psemigroups.cli`` nor a fresh ``psg membership`` job loads any
+    of ``COLD_START_UNLOADED``.
+    """
+    assert [m for name in ("argparse", "dataclasses", "inspect") for m in _importers(name)] == []
+    assert _newly_loaded("import psemigroups.cli", COLD_START_UNLOADED) == []
+    job = "from psemigroups.cli import main\nassert main(['membership', '--gens=3,5', '-n7']) == 0"
+    assert _newly_loaded(job, COLD_START_UNLOADED) == []
+
+
+def test_import_loads_every_module_the_bench_tracer_wraps():
+    """A fresh ``import psemigroups.cli``, which the bench worker runs before
+    ``Tracer.install``, puts every module of ``bench/tracer.py`` ``TARGETS``
+    into ``sys.modules``.
+
+    ``Tracer.install`` looks each target module up there without importing
+    it, so loading the modules lazily on first use would break the traced
+    bench run.  A benchmark change that makes ``Tracer.install`` import its
+    targets may drop this test.
+    """
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["TARGETS"]
+    )
+    modules = [f"psemigroups.{name}" for name in targets]
+    assert len(modules) > 5
+    assert _newly_loaded("import psemigroups.cli", modules) == sorted(modules)
 
 
 def test_only_classify_reads_the_pairing():

@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 from functools import reduce
 from math import gcd
 
@@ -316,7 +315,7 @@ def test_corrupted_apery_disagrees_with_window(build, gens, p):
     a = len(ap)
     # one class off by the modulus breaks the sum with its partner class
     ap[(S.frobenius + S.least_element) // 2 % a] += a
-    bad = replace(S, apery=tuple(ap))
+    bad = S._replace(apery=tuple(ap))
     for check in (classify, is_p_symmetric, is_p_pseudo_symmetric):
         with pytest.raises(InternalConsistencyError, match=_where(S)):
             check(bad)
@@ -331,7 +330,7 @@ def test_corrupted_membership_fails_genus_identity(build, gens):
     S = build(gens, 0)
     assert classify(S)["irreducible"]
     assert S.frontier > S.frobenius + S.least_element + 1
-    bad = replace(S, membership=S.membership[:-1] + b"\x00")
+    bad = S._replace(membership=S.membership[:-1] + b"\x00")
     for check in (classify, is_p_symmetric, is_p_pseudo_symmetric):
         with pytest.raises(InternalConsistencyError, match="gap count.*" + _where(S)):
             check(bad)
