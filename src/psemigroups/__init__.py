@@ -29,7 +29,6 @@ from .enumeration import (
     membership_oracle,
     minimal_generators,
     minimal_generators_lower_half,
-    minimal_generators_scan,
 )
 from .apery import (
     apery_set,
@@ -115,7 +114,6 @@ __all__ = [
     "membership_oracle",
     "minimal_generators",
     "minimal_generators_lower_half",
-    "minimal_generators_scan",
     "pf_via_apery_maximals",
     "pf_via_gap_maximals",
     "power_sum",

@@ -34,19 +34,20 @@ their saturating bit-slice adders, carry saturation or top-down comparator;
 the recursive ``denumerant_oracle`` shares neither, and the tests check the
 packed table against it.
 
-The minimal generators have two oracles, each sharing no kernel with the
-sumset: the definitional scan, which reads the membership bytes, and the
-a1 x a1 min-plus square of the least positive members per class, whose cost
-does not grow with the Frobenius number.  The decomposition components
-carry no Apery tuple; their generators come from the table alone, as one
-sumset word shifted by the members of its lower half
-(``minimal_generators_lower_half``), which the scan checks in the tests.
+The embedding dimension has one oracle, ``_generator_count``, which shares
+no kernel with the sumset: the member word read from the membership bytes,
+shifted by each least positive member up to half its window, then one
+AND-NOT.  Its work is provably within the sumset's, so the cap that bounded
+the build bounds it.  The decomposition components carry no Apery tuple;
+their generators come from the table alone, as one sumset word shifted by
+the members of its lower half (``minimal_generators_lower_half``), which
+the definitional scan of the tests checks.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import compress, count, repeat
+from itertools import compress, count
 from math import factorial, gcd, prod
 from struct import calcsize
 
@@ -400,32 +401,45 @@ def embedding_dimension(semigroup: PSemigroup) -> int:
     return _generator_word(semigroup)[0].bit_count()
 
 
-def _min_plus_ranges(semigroup: PSemigroup) -> list[range]:
-    """The minimal generators of each class r, from pos[r] up to its least sum.
+def _generator_count(semigroup: PSemigroup) -> int:
+    """Oracle for ``embedding_dimension``: the members that are not sums, from the table.
 
-    The min-plus oracle for ``minimal_generators``: about a1**2 / 2
-    additions in place of the sumset word.  It reads the Apery tuple, not
-    the membership bytes, so its cost does not grow with the Frobenius
-    number, and ``--verify`` counts the ranges without listing them.
+    A minimal generator is a positive member that is not the sum of two
+    positive members.  With pos[r] the least positive member of class r mod
+    a1 and low = min(pos), every generator lies in [low, top], top =
+    max(F + low, low): past F + low, subtracting low leaves a member.  A
+    sum s + t of positive members, s <= t, with s = pos[r] + k * a1 is
+    pos[r] + u for the positive member u = k * a1 + t, and pos[r] + u is a
+    sum for every positive member u.  Every sum is at least 2 * low, so the
+    members in [low, 2 * low) are generators; a member m in [2 * low, top]
+    is one iff no pos[r] <= m / 2 has m - pos[r] a member, and then u lies
+    in [low, top - low].  So the word of the members there, shifted by
+    pos[r] - low for each pos[r] <= top / 2 and cut to [2 * low, top], marks
+    every sum there (larger shifts mark sums too), and one AND-NOT and a
+    ``bit_count`` finish.
 
-    The least sum of class r is the least pos[i] + pos[j] with i + j = r mod
-    a1, pos the least positive member per class.  Entry s of ``least``
-    holds that min over the pairs i <= j with i + j = s, before the
-    reduction mod a1; entry 2 * a1 - 1 has no pair and keeps the bound
-    2 * max(pos).  A plain double loop: one ``min`` call per pair costs
-    about three times as much.
+    It reads its members from the membership bytes, not from the Apery
+    offsets closed under adding a1, and has no skip rule, so it shares no
+    kernel with ``_generator_word``; its shift set is the Apery tuple, which
+    ``check_series`` checks against the bytes.  It checks no work estimate:
+    F = max(ap) - a1 < max(pos), so each shift pos[r] - low has 2 * pos[r]
+    <= top < max(pos) + low + 1 and is a shift of ``_generator_word``, and
+    its word is cut to top - 2 * low + 1 <= width - a1 bits, narrower than
+    that sumset's window.  The default path runs the sumset within the size
+    cap that bounded the build, so the cap bounds this oracle too.
     """
     pos = _positive_apery(semigroup)
-    a1 = len(pos)
-    least = [2 * max(pos)] * (2 * a1)
-    for i, m in enumerate(pos):
-        s = 2 * i
-        for n in pos[i:]:
-            n += m
-            if n < least[s]:
-                least[s] = n
-            s += 1
-    return list(map(range, pos, map(min, least[:a1], least[a1:]), repeat(a1)))
+    low = min(pos)
+    top = max(semigroup.frobenius + low, low)
+    members = _window(semigroup.membership, low, top + 1)
+    span = max(top - 2 * low + 1, 0)  # [low, top - low] and [2 * low, top]
+    word = _bits(members[:span])
+    window = (1 << span) - 1
+    sums = 0
+    for m in pos:
+        if 2 * m <= top:
+            sums |= (word << m - low) & window
+    return members[:low].count(1) + (_bits(members[low:]) & ~sums).bit_count()
 
 
 def minimal_generators_lower_half(semigroup: PSemigroup) -> list[int]:
@@ -438,8 +452,8 @@ def minimal_generators_lower_half(semigroup: PSemigroup) -> list[int]:
     to top, the sums there are the OR of w << s over the members s in
     [mu, top // 2], and the generators are the bits of w that no shift sets.
     It reads only the membership bytes, so it serves the decomposition
-    components (``FiniteSemigroup``), which carry no Apery tuple; the scan
-    and the per-integer oracle of the tests check it.
+    components (``FiniteSemigroup``), which carry no Apery tuple; the
+    definitional scan and the per-integer oracle of the tests check it.
     """
     mu = _least_positive(semigroup.membership)
     top = max(semigroup.frobenius + mu, mu)
@@ -449,32 +463,3 @@ def minimal_generators_lower_half(semigroup: PSemigroup) -> list[int]:
     for s in compress(count(mu), window[mu : top // 2 + 1]):
         sums |= word << s
     return list(compress(count(), _table_of(word & ~sums)))
-
-
-def minimal_generators_scan(semigroup: PSemigroup) -> list[int]:
-    """Oracle for ``minimal_generators``: the definitional scan.
-
-    A member is minimal iff it is not the sum of two positive members.  All
-    minimal generators lie in [m, frobenius + m] for the least positive
-    member m, and subtracting m from any of them must leave a non-member,
-    which caps the candidate count at m.  It indexes the membership bytes,
-    padded with members, so it stays independent of the Apery tuple and
-    also reads a ``FiniteSemigroup``; the tests check
-    ``minimal_generators_lower_half`` against it on the decomposition
-    components, and ``--verify`` runs it when it is the cheaper oracle.
-    """
-    mu = _least_positive(semigroup.membership)
-    top = max(semigroup.frobenius + mu, mu)
-    window = _window(semigroup.membership, 0, top + 1)
-    members = list(compress(range(mu, top + 1), window[mu:]))
-    out = []
-    for m in members:
-        if m > mu and window[m - mu]:
-            continue
-        for s in members:
-            if 2 * s > m:
-                out.append(m)
-                break
-            if window[m - s]:
-                break
-    return out

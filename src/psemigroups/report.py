@@ -7,19 +7,21 @@ gives every power sum.  The bytes give the genus as a count of zero bytes
 and the gap sum as weighted popcounts of 4,096-bit words (``_gap_sum``),
 with no Python object per gap.  Tuple and bytes come from the same
 bit-plane build, so this checks the formulas, not the build; ``verify=True``
-adds the heavier re-derivations, each sharing no kernel with the planes:
-membership from the count table (which shares only their shift schedule),
-the minimal generators from the cheaper of the min-plus square and the scan
-(counted against the embedding dimension), the scanned valuation lengths,
-brute-force power sums over the gaps (one running product per exponent,
-streamed over chunks of the table), three-way pseudo-Frobenius agreement,
-the symmetry flags against that PF set, the Hilbert factorization
-identity, and the closed forms as whole Apery tuples, each a witness for
-every membership bit at O(a1) cost: the gcd-reduction lift of a
-separately built reduced tuple, and the two-generator or arithmetic-triple
-tuple when the generators form one.  Each oracle whose work can outgrow the membership table has it
-estimated and checked against the size cap before it runs; the two count
-oracles check their own.
+adds the heavier re-derivations, each sharing no kernel with the planes.
+First come the ones whose work can outgrow the membership table, each
+estimated and checked against the size cap before it runs (the two count
+oracles check their own): three-way pseudo-Frobenius agreement, with the
+symmetry flags against that PF set, then membership from the count table
+(which shares only their shift schedule) and the Hilbert factorization
+identity, which checks the Apery tuple.  Then the ones with no estimate of
+their own: the minimal generators as the members that are not sums,
+shifted by that tuple (counted against the embedding dimension, within the
+work of the build's own sumset), the scanned valuation lengths, brute-force power sums over the gaps (one
+running product per exponent, streamed over chunks of the table), and the
+closed forms as whole Apery tuples, each a witness for every membership bit
+at O(a1) cost: the gcd-reduction lift of a separately built reduced tuple,
+and the two-generator or arithmetic-triple tuple when the generators form
+one.
 ``check_series`` and ``check_denumerant`` are the checks the ``hilbert``,
 ``membership`` and ``denumerant`` commands share with it, and
 ``check_components`` is the ``decompose`` one: this module holds every
@@ -33,16 +35,15 @@ from operator import mul
 
 from .core import (
     _FLIP, GeneratorTuple, InternalConsistencyError, PSemigroup, ValidationError,
-    _check_work, _gap_sum, _least_per_class, _least_positive, validate_generators,
+    _gap_sum, _least_per_class, validate_generators,
 )
 from .enumeration import (
+    _generator_count,
     _member_word,
-    _min_plus_ranges,
     build_psemigroup,
     denumerant_oracle,
     embedding_dimension,
     membership_oracle,
-    minimal_generators_scan,
 )
 from .apery import apery_set, frobenius_from_apery, gap_power_sums
 from .symmetry import (
@@ -143,54 +144,27 @@ def check_components(
             )
 
 
-def _generator_oracle(semigroup: PSemigroup, dimension: int) -> int:
-    """The number of minimal generators by the cheaper oracle, within the size cap.
+def _streamed_power_sums(table: bytes, exponents) -> dict:
+    """Each exponent mu mapped to the sum of the mu-th powers of the gaps of ``table``.
 
-    The min-plus costs a1**2.  The scan walks, for each minimal generator m,
-    the members from mu (the least positive member) up to m / 2 <= (F + mu)
-    / 2, and stops early on every other member, so its estimate is
-    ``dimension`` (the report's embedding dimension) times the members in
-    [mu, (F + mu) / 2].  The min-plus count sums the lengths of its
-    per-class ranges, so no list of the generators is built.
+    One running product per exponent over each chunk's gaps, never a list
+    of all of them.
     """
-    a1 = semigroup.gens.least
-    table = semigroup.membership
-    mu = _least_positive(table)
-    scan = dimension * table[mu : (semigroup.frobenius + mu) // 2 + 1].count(1)
-    if a1 * a1 < scan:
-        _check_work(a1 * a1, table, "the min-plus generator oracle")
-        return sum(map(len, _min_plus_ranges(semigroup)))
-    _check_work(scan, table, "the minimal-generator scan")
-    return len(minimal_generators_scan(semigroup))
+    sums = dict.fromkeys(exponents, 0)
+    for start in range(0, len(table), _CHUNK):
+        chunk = list(compress(count(start), table[start : start + _CHUNK].translate(_FLIP)))
+        powers = repeat(1)
+        for mu in sums:
+            powers = list(map(mul, powers, chunk))
+            sums[mu] += sum(powers)
+    return sums
 
 
 def _verify_extras(semigroup: PSemigroup, report: dict) -> None:
     gens, p = semigroup.gens, semigroup.p
-    # the report's embedding dimension counts the sumset's generators; the
-    # tests compare the sumset's list itself with both oracles
-    dimension = report["embedding_dimension"]
-    oracle = _generator_oracle(semigroup, dimension)
-    if dimension != oracle:
-        _mismatch("embedding dimension", dimension, oracle, gens, p)
-    if p >= 1:
-        valuation = tuple(report["valuation"].values())
-        scanned = valuation_lengths_scan(semigroup)
-        if valuation != scanned:
-            _mismatch("valuation lengths", valuation, scanned, gens, p)
-    # one running product per exponent over each chunk's gaps, never a list
-    # of all of them
-    claimed = report["power_sums"]  # mu = 1, 2, ...
-    brute = dict.fromkeys(claimed, 0)
-    table = semigroup.membership
-    for start in range(0, len(table), _CHUNK):
-        chunk = list(compress(count(start), table[start : start + _CHUNK].translate(_FLIP)))
-        powers = repeat(1)
-        for mu in brute:
-            powers = list(map(mul, powers, chunk))
-            brute[mu] += sum(powers)
-    for mu in claimed:
-        if claimed[mu] != brute[mu]:
-            _mismatch(f"power sum mu={mu}", claimed[mu], brute[mu], gens, p)
+    # The oracles that check a work estimate run first, so a job over the
+    # cap is refused before the unchecked ones stream the table; the series
+    # check also checks the Apery tuple that the generator oracle shifts by.
     pf = report["pf"]  # the Apery-maximal reading, checked against two oracles
     via_definition, via_gaps = pseudo_frobenius(semigroup), pf_via_gap_maximals(semigroup)
     if not (pf == via_definition == via_gaps):
@@ -212,6 +186,21 @@ def _verify_extras(semigroup: PSemigroup, report: dict) -> None:
         _mismatch("symmetry flags against the PF set", claimed, pf, gens, p)
     trunc = 2 * (semigroup.frobenius + 1) + gens.least
     check_series(semigroup, hilbert_direct(semigroup, trunc), gaps_series(semigroup, trunc))
+    # the report's embedding dimension counts the sumset's generators; the
+    # tests compare the sumset's list itself with the oracle's scans
+    dimension, oracle = report["embedding_dimension"], _generator_count(semigroup)
+    if dimension != oracle:
+        _mismatch("embedding dimension", dimension, oracle, gens, p)
+    if p >= 1:
+        valuation = tuple(report["valuation"].values())
+        scanned = valuation_lengths_scan(semigroup)
+        if valuation != scanned:
+            _mismatch("valuation lengths", valuation, scanned, gens, p)
+    claimed = report["power_sums"]  # mu = 1, 2, ...
+    brute = _streamed_power_sums(semigroup.membership, claimed)
+    for mu in claimed:
+        if claimed[mu] != brute[mu]:
+            _mismatch(f"power sum mu={mu}", claimed[mu], brute[mu], gens, p)
     # The closed forms are whole Apery tuples mod a1, each a witness for
     # every membership bit.  A validated tuple has gcd 1 and ascends
     # strictly, so they need no coprimality or positive-step test.

@@ -5,10 +5,13 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+from itertools import compress
+
 import pytest
 
 import psemigroups
 from psemigroups import build_psemigroup, validate_generators
+from psemigroups.core import _least_positive, _window
 
 
 @lru_cache(maxsize=None)
@@ -20,6 +23,38 @@ def _build(gens: tuple[int, ...], p: int):
 def build():
     """Memoized (gens, p) -> PSemigroup shared across the whole run."""
     return _build
+
+
+def _minimal_generators_scan(semigroup) -> list[int]:
+    """The definitional scan: the members that are not the sum of two positive members.
+
+    All minimal generators lie in [m, frobenius + m] for the least positive
+    member m, and subtracting m from any of them must leave a non-member,
+    which caps the candidate count at m.  It indexes the membership bytes,
+    padded with members, so it stays independent of the Apery tuple and
+    also reads a ``FiniteSemigroup``.
+    """
+    mu = _least_positive(semigroup.membership)
+    top = max(semigroup.frobenius + mu, mu)
+    window = _window(semigroup.membership, 0, top + 1)
+    members = list(compress(range(mu, top + 1), window[mu:]))
+    out = []
+    for m in members:
+        if m > mu and window[m - mu]:
+            continue
+        for s in members:
+            if 2 * s > m:
+                out.append(m)
+                break
+            if window[m - s]:
+                break
+    return out
+
+
+@pytest.fixture(scope="session")
+def generator_scan():
+    """semigroup -> its minimal generators by the definitional scan, ascending."""
+    return _minimal_generators_scan
 
 
 def _lift_invariants(reduction, frobenius: int, genus: int, sylvester_sum: int):

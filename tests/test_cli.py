@@ -732,8 +732,7 @@ def _bump_mu_2(sums: list) -> list:
         ("report", "pseudo_frobenius", lambda pf: pf[:-1], "invariants", "p=1"),
         ("report", "pf_via_apery_maximals", lambda pf: pf[:-1], "invariants", "p=1"),
         ("report", "gap_power_sums", _bump_mu_2, "invariants", "p=1"),
-        # an empty range would leave the count as it is; range(1) adds one
-        ("report", "_min_plus_ranges", lambda ranges: [*ranges, range(1)], "invariants", "p=1"),
+        ("report", "_generator_count", lambda count: count + 1, "invariants", "p=1"),
         # the three closed Apery tuples; the lift reads both builds with
         # _least_per_class, and on 3,5 reduces at a1 = 3 with d = 5
         ("report", "_two_var_apery", _bump_first, "invariants", "p=1"),
@@ -835,12 +834,13 @@ def test_verify_power_sums_stream_over_the_table(peak_rss_kib):
 
 
 # Jobs whose build and default report fit under the cap, but one --verify
-# oracle's work estimate does not: the min-plus costs a1**2 = 1,018,081, and
-# the definitional pseudo-Frobenius oracle 39 candidates times 36 shifts.
+# oracle's work estimate does not: the definitional pseudo-Frobenius oracle
+# costs 1009 candidates times 1009 shifts = 1,018,081 on the first, and 39
+# candidates times 36 shifts on the second.
 @pytest.mark.parametrize(
     "gens, p, cap, oracle",
     [
-        ("1009,1201,1499", "50", 10**6, "the min-plus generator oracle"),
+        ("1009,1201,1499", "50", 10**6, "the definitional pseudo-Frobenius oracle"),
         ("40,41,42,43,44,45", "0", 1000, "the definitional pseudo-Frobenius oracle"),
     ],
 )
@@ -855,26 +855,24 @@ def test_verify_oracles_are_bounded_by_the_table_cap(capsys, monkeypatch, gens, 
     assert oracle in err and "PSG_MAX_TABLE" in err
 
 
-@pytest.mark.parametrize(
-    "gens, p, chosen",
-    [
-        # p = 0, a1 = 503, embedding dimension 3: the scan's 5,766 steps
-        # against the min-plus's 253,009
-        ((503, 607, 701), 0, "minimal_generators_scan"),
-        ((3, 5), 1, "_min_plus_ranges"),
-    ],
-)
-def test_verify_picks_the_cheaper_generator_oracle(monkeypatch, gens, p, chosen):
-    from psemigroups import report as report_mod
-    from psemigroups import validate_generators
+def test_verify_refuses_a_capped_job_before_the_unchecked_oracles(capsys, monkeypatch):
+    """A job that a pseudo-Frobenius oracle refuses never enters the generator
+    oracle or the power-sum stream, which check no work estimate of their own."""
+    from psemigroups import report
 
     calls = []
-    for name in ("minimal_generators_scan", "_min_plus_ranges"):
-        real = getattr(report_mod, name)
-        spy = lambda semigroup, real=real, name=name: calls.append(name) or real(semigroup)
-        monkeypatch.setattr(report_mod, name, spy)
-    report_mod.build_invariant_report(validate_generators(list(gens)), p, verify=True)
-    assert calls == [chosen]
+    for name in ("_generator_count", "_streamed_power_sums"):
+        real = getattr(report, name)
+        spy = lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        monkeypatch.setattr(report, name, spy)
+    job = ["invariants", "--gens", "40,41,42,43,44,45", "-p", "0", "--verify"]
+    assert run(capsys, job)[0] == 0
+    assert calls == ["_generator_count", "_streamed_power_sums"]
+    calls.clear()
+    monkeypatch.setenv("PSG_MAX_TABLE", "1000")
+    code, out, err = run(capsys, job)
+    assert (code, out, calls) == (2, "", [])
+    assert "the definitional pseudo-Frobenius oracle" in err
 
 
 def test_component_span_check_reads_a_gap_at_its_limit():
@@ -1216,17 +1214,18 @@ def test_decompose_exits_1_when_a_completion_does_not_pair(capsys, monkeypatch):
 
 
 def test_plain_decompose_runs_no_generator_scan(capsys, monkeypatch):
-    """The lower-half sumset lists the components' generators; the scan is an
-    oracle, and --verify checks each listed component by its span."""
+    """The lower-half sumset lists the components' generators; the generator
+    oracle of ``invariants --verify`` does not run, and --verify checks each
+    listed component by its span."""
     from psemigroups import enumeration, report
 
     calls = []
-    scan = enumeration.minimal_generators_scan
-    scan_spy = lambda semigroup: calls.append("scan") or scan(semigroup)
-    # every module that binds the scan, so a new import of it is caught too
+    oracle = enumeration._generator_count
+    oracle_spy = lambda semigroup: calls.append("oracle") or oracle(semigroup)
+    # every module that binds the oracle, so a new import of it is caught too
     for name, module in list(sys.modules.items()):
-        if name.startswith("psemigroups") and getattr(module, "minimal_generators_scan", 0) is scan:
-            monkeypatch.setattr(module, "minimal_generators_scan", scan_spy)
+        if name.startswith("psemigroups") and getattr(module, "_generator_count", 0) is oracle:
+            monkeypatch.setattr(module, "_generator_count", oracle_spy)
     spans = report._spans
     span_spy = lambda generators, component: calls.append("span") or spans(generators, component)
     monkeypatch.setattr(report, "_spans", span_spy)

@@ -1,7 +1,7 @@
 import sys
 import tracemalloc
 from functools import reduce
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd
 from time import perf_counter
 
@@ -22,7 +22,6 @@ from psemigroups import (
     membership_oracle,
     minimal_generators,
     minimal_generators_lower_half,
-    minimal_generators_scan,
     validate_generators,
     valuation_lengths,
     valuation_lengths_scan,
@@ -30,7 +29,9 @@ from psemigroups import (
 from psemigroups import enumeration
 from psemigroups.cli import main
 from psemigroups.decompose import FiniteSemigroup, irreducible_decomposition
-from psemigroups.enumeration import _count_bound, _packed_counts, embedding_dimension
+from psemigroups.enumeration import (
+    _count_bound, _generator_count, _packed_counts, _positive_apery, embedding_dimension,
+)
 from psemigroups.core import _bits, _table_of
 from psemigroups.report import build_invariant_report
 
@@ -566,12 +567,12 @@ def test_random_semigroup_consistency(raw, p):
     # a1 = 1, no gaps at all, non-coprime pairs, a generator that is 2 * a1
     [((1, 2), 0), ((1, 2), 3), ((2, 3), 0), ((4, 6, 9), 2), ((3, 5, 6), 4)],
 )
-def test_apery_build_edge_cases(raw, p):
+def test_apery_build_edge_cases(generator_scan, raw, p):
     gens = validate_generators(list(raw))
     S = build_psemigroup(gens, p)
     assert S.membership == membership_oracle(gens, p, S.frontier)
     assert S.frontier == S.frobenius + 1 + gens.least
-    assert minimal_generators(S) == minimal_generators_scan(S)
+    assert minimal_generators(S) == generator_scan(S)
 
 
 def test_membership_oracle_short_limits():
@@ -597,13 +598,32 @@ def test_apery_build_matches_count_table(raw, p):
 
 @settings(max_examples=60, deadline=None)
 @given(gen_lists, st.integers(min_value=0, max_value=8))
-def test_apery_derived_invariants_match_scans(raw, p):
+def test_apery_derived_invariants_match_scans(generator_scan, raw, p):
     S = build_psemigroup(validate_generators(raw), p)
-    scanned = minimal_generators_scan(S)
+    scanned = generator_scan(S)
     assert minimal_generators(S) == scanned
     assert embedding_dimension(S) == len(scanned)
     if p >= 1:
         assert valuation_lengths(S) == valuation_lengths_scan(S)
+
+
+def _min_plus_ranges(semigroup):
+    """The minimal generators of each class r, from pos[r] up to its least sum.
+
+    The a1 x a1 min-plus square: it reads the Apery tuple, not the
+    membership bytes.  The least sum of class r is the least pos[i] + pos[j]
+    with i + j = r mod a1, pos the least positive member per class.  Entry
+    s of ``least`` holds that min over the pairs i <= j with i + j = s,
+    before the reduction mod a1; entry 2 * a1 - 1 has no pair and keeps the
+    bound 2 * max(pos).
+    """
+    pos = _positive_apery(semigroup)
+    a1 = len(pos)
+    least = [2 * max(pos)] * (2 * a1)
+    for i, m in enumerate(pos):
+        for j, n in enumerate(pos[i:], 2 * i):
+            least[j] = min(least[j], m + n)
+    return list(map(range, pos, map(min, least[:a1], least[a1:]), repeat(a1)))
 
 
 # The window of the sumset runs from 2l to max + l, l and max the least and
@@ -620,10 +640,10 @@ def test_apery_derived_invariants_match_scans(raw, p):
         pytest.param((1, 2), 3, True, id="a1-is-1-p3"),
     ],
 )
-def test_sumset_bounds_match_the_min_plus_square(raw, p, at_max):
+def test_sumset_bounds_match_the_min_plus_square(generator_scan, raw, p, at_max):
     S = build_psemigroup(validate_generators(list(raw)), p)
     word, low = enumeration._generator_word(S)
-    ranges = enumeration._min_plus_ranges(S)
+    ranges = _min_plus_ranges(S)
     a1 = len(ranges)
     # byte i tells whether low + i is a generator; class r's generators run
     # from pos[r] up to its least sum, so their count gives that sum
@@ -637,7 +657,7 @@ def test_sumset_bounds_match_the_min_plus_square(raw, p, at_max):
     assert low == min(starts)
     assert 2 * low in least_sums
     assert (max(starts) + low in least_sums) == at_max
-    assert embedding_dimension(S) == len(minimal_generators_scan(S))
+    assert embedding_dimension(S) == len(generator_scan(S))
 
 
 # a1 = 1 as well as the usual generators
@@ -649,8 +669,8 @@ gen_lists_from_1 = (
 
 
 def minimal_generators_min_plus(semigroup):
-    """The min-plus oracle as a sorted list: ``--verify`` only counts its ranges."""
-    return sorted(chain.from_iterable(enumeration._min_plus_ranges(semigroup)))
+    """The minimal generators from the min-plus square, ascending."""
+    return sorted(chain.from_iterable(_min_plus_ranges(semigroup)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -658,9 +678,40 @@ def minimal_generators_min_plus(semigroup):
 @example([3, 10, 17], 0)  # class 0 at p = 0: its least positive member is a1
 @example([4, 5], 0)
 @example([1, 3], 2)
-def test_min_plus_matches_the_scan(raw, p):
+def test_min_plus_matches_the_scan(generator_scan, raw, p):
     S = build_psemigroup(validate_generators(raw), p)
-    assert minimal_generators_min_plus(S) == minimal_generators_scan(S)
+    assert minimal_generators_min_plus(S) == generator_scan(S)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gen_lists_from_1, st.integers(min_value=0, max_value=8))
+@example([1, 2], 0)  # N itself: F = -1, one generator
+@example([1, 2], 3)
+@example([2, 3], 1)
+@example([3, 4, 5], 0)  # F = 2 < 2 * low = 6: every member up to top is a generator
+def test_generator_count_matches_the_sumset_and_both_scans(generator_scan, raw, p):
+    S = build_psemigroup(validate_generators(raw), p)
+    count = _generator_count(S)
+    assert count == embedding_dimension(S) == len(minimal_generators(S))
+    assert count == len(generator_scan(S)) == len(minimal_generators_min_plus(S))
+
+
+@settings(max_examples=80, deadline=None)
+@given(gen_lists_from_1, st.integers(min_value=0, max_value=8))
+@example([1, 2], 0)
+@example([3, 10, 17], 0)
+def test_generator_count_works_within_the_sumset(raw, p):
+    """The oracle's shifts are the sumset's, on a narrower window: the cap
+    that bounds the default path's sumset bounds the oracle too."""
+    S = build_psemigroup(validate_generators(raw), p)
+    pos = _positive_apery(S)
+    a1, low, high = len(pos), min(pos), max(pos)
+    top = max(S.frobenius + low, low)
+    width = high - low + 1
+    sumset_shifts = {m - low for m in pos if 2 * (m - low) < width}
+    oracle_shifts = {m - low for m in pos if 2 * m <= top}
+    assert oracle_shifts <= sumset_shifts
+    assert top - 2 * low + 1 <= width - a1
 
 
 def _minimal_generators_oracle(semigroup):
@@ -690,12 +741,12 @@ def _minimal_generators_oracle(semigroup):
 
 @settings(max_examples=60, deadline=None)
 @given(gen_lists, st.integers(min_value=0, max_value=3))
-def test_generator_scan_matches_the_per_integer_oracle(raw, p):
+def test_generator_scan_matches_the_per_integer_oracle(generator_scan, raw, p):
     S = build_psemigroup(validate_generators(raw), p)
     T = FiniteSemigroup.from_psemigroup(S)
     for U in [S, T, *irreducible_decomposition(T)]:
         expected = _minimal_generators_oracle(U)
-        assert minimal_generators_scan(U) == expected
+        assert generator_scan(U) == expected
         assert minimal_generators_lower_half(U) == expected
 
 
@@ -715,7 +766,7 @@ MINGENS_35_P1 = [15, 18, 20, 21, 23, 24, 25, 26, 27, 28, 29, 31, 32, 34, 37]
     ],
     ids=["full-monoid", "ordinary-5", "2-3", "3-5-p1", "3-5-p1-finite"],
 )
-def test_generator_scan_edge_cases(semigroup, expected):
-    assert minimal_generators_scan(semigroup) == expected
+def test_generator_scan_edge_cases(generator_scan, semigroup, expected):
+    assert generator_scan(semigroup) == expected
     assert minimal_generators_lower_half(semigroup) == expected
     assert _minimal_generators_oracle(semigroup) == expected
