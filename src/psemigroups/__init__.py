@@ -23,6 +23,7 @@ from .core import (
 )
 from .enumeration import (
     build_psemigroup,
+    denumerant,
     denumerant_oracle,
     denumerant_table,
     gaps,
@@ -95,6 +96,7 @@ __all__ = [
     "build_invariant_report",
     "build_psemigroup",
     "classify",
+    "denumerant",
     "denumerant_oracle",
     "denumerant_table",
     "frobenius_from_apery",

@@ -28,7 +28,7 @@ from .core import (
     _digits,
     validate_generators,
 )
-from .enumeration import build_psemigroup, denumerant_table, minimal_generators_lower_half
+from .enumeration import build_psemigroup, denumerant, minimal_generators_lower_half
 from .hilbert import gaps_series, hilbert_direct
 from .decompose import FiniteSemigroup, irreducible_decomposition
 from .report import build_invariant_report, check_components, check_denumerant, check_series
@@ -97,7 +97,7 @@ def cmd_hilbert(
 
 def cmd_membership(gens: GeneratorTuple, n: int, p: int = 0, verify: bool = False) -> dict:
     """Denumerant of n and whether it exceeds p."""
-    count = denumerant_table(gens, n)[n] if n >= 0 else 0
+    count = denumerant(gens, n) if n >= 0 else 0
     if verify:
         check_denumerant(gens, n, count, p)
     return {
@@ -111,9 +111,7 @@ def cmd_membership(gens: GeneratorTuple, n: int, p: int = 0, verify: bool = Fals
 
 def cmd_denumerant(gens: GeneratorTuple, n: int, verify: bool = False) -> dict:
     """Number of representations of n."""
-    if n < 0:
-        raise ValidationError("n must be non-negative")
-    count = denumerant_table(gens, n)[n]
+    count = denumerant(gens, n)
     if verify:
         check_denumerant(gens, n, count)
     return {"gens": list(gens.elements), "n": n, "denumerant": str(count)}

@@ -16,11 +16,14 @@ shifts, give the generators as the members that are not sums, one AND-NOT:
 their count is a ``bit_count`` and their list one pass over the word's
 bytes, with no Python step per class or per generator.
 
-The exact counts d(0..size-1) are one packed int, the count table behind
-``denumerant_table`` and, run up to the frontier, the membership oracle for
-tests and ``--verify``.  Entry n is the c-byte field at bit 8 * c * n.  c is
-fixed before any work so that the top bit of every field stays free under
-the bound d(n) <= (n * g // (a1 * a2) + 1) * prod(n // a_i + 1 for i >= 3),
+The exact counts d(0..size-1) are one packed int.  Entry n is the c-byte
+field at bit 8 * c * n.  ``denumerant`` packs d(0..n) and reads d(n) as the
+top field, the one number the membership and denumerant commands need;
+``denumerant_table`` reads every field, for the tests and library callers;
+run up to the frontier, the word is the membership oracle for tests and
+``--verify``.  c is fixed before any work so that the top bit of every
+field stays free under the bound
+d(n) <= (n * g // (a1 * a2) + 1) * prod(n // a_i + 1 for i >= 3),
 g = gcd(a1, a2): once x_3..x_k are fixed, x_2 <= n / a2 lies in a single
 residue class mod a1 / g (proof in ``_count_bound``).  Each factor
 1/(1 - x**a) is applied by the doubling shift-adds
@@ -46,10 +49,8 @@ the definitional scan of the tests checks.
 
 from __future__ import annotations
 
-import sys
 from itertools import compress, count
 from math import factorial, gcd, prod
-from struct import calcsize
 
 from .core import (
     TABLE_LIMIT_ENV, _FLIP, GeneratorTuple, PSemigroup, TableLimitError, ValidationError,
@@ -57,8 +58,6 @@ from .core import (
 )
 from .apery import apery_set
 
-# the native widths memoryview.cast reads, ascending
-_CAST = {calcsize(code): code for code in "BHIQ"}
 # 1 for a byte whose high bit is set, else 0
 _HIGH_BIT = bytes(b >> 7 for b in range(256))
 
@@ -101,46 +100,38 @@ def _packed_counts(elements: tuple[int, ...], size: int) -> tuple[int, int]:
     return word, c
 
 
-def _unpack(raw: bytes, c: int) -> list[int]:
-    """The c-byte little-endian fields of ``raw`` as ints.
+def denumerant(gens: GeneratorTuple, n: int) -> int:
+    """d(n), the number of representations of n, read off the packed count word.
 
-    Each field is widened to the least width ``memoryview.cast`` reads that
-    holds it, or past 8 bytes to 8-byte limbs that are combined afterwards.
-    Byte i of a field lands in its limb by the host's byte order, so the
-    native cast reads the same values on either host.
+    The word of ``_packed_counts`` up to size n + 1 holds d(0..n) as c-byte
+    fields, and field n is its top one: each shift-add cuts the word to its
+    low size - s fields before shifting by s fields, so no field at or past
+    the size exists.  One shift by 8 * c * n bits reads d(n), with no Python
+    int per entry.  The size cap counts the n + 1 entries of the word.
     """
-    limb = next((w for w in _CAST if w >= c), 8)
-    limbs = -(-c // limb)
-    width = limb * limbs
-    if width != c or sys.byteorder == "big":
-        wide = bytearray(len(raw) // c * width)
-        for i in range(c):
-            wide[i if sys.byteorder == "little" else i ^ (limb - 1) :: width] = raw[i::c]
-        raw = wide
-    values = memoryview(raw).cast(_CAST[limb]).tolist()
-    if limbs == 1:
-        return values
-    out = values[limbs - 1 :: limbs]
-    for j in reversed(range(limbs - 1)):
-        out = [high << 8 * limb | low for high, low in zip(out, values[j::limbs])]
-    return out
+    if n < 0:
+        raise ValidationError("n must be non-negative")
+    _check_table_size(n + 1, "the denumerant table")
+    word, c = _packed_counts(gens.elements, n + 1)
+    return word >> 8 * c * n
 
 
 def denumerant_table(gens: GeneratorTuple, limit: int) -> list[int]:
     """Exact representation counts: entry n is d(n), for 0..limit.
 
-    The packed table of ``_packed_counts``: entry n is its c-byte field at
+    The packed word of ``_packed_counts``: entry n is its c-byte field at
     bit 8 * c * n, c fixed by the bound of ``_count_bound`` with each
-    field's top bit free.  Its little-endian bytes are unpacked by
-    ``_unpack`` with one ``memoryview.cast``, whatever the host's byte
-    order.  The table shares only the shift schedule with the bit planes of
+    field's top bit free, read from the word's little-endian bytes with
+    one ``int.from_bytes`` per entry, whatever the host's byte order.  The
+    table shares only the shift schedule with the bit planes of
     ``build_psemigroup``, not their adders, saturation or comparator.
     """
     if limit < 0:
         raise ValidationError("table limit must be non-negative")
     _check_table_size(limit + 1, "the denumerant table")
     word, c = _packed_counts(gens.elements, limit + 1)
-    return _unpack(word.to_bytes(c * (limit + 1), "little"), c)
+    raw = word.to_bytes(c * (limit + 1), "little")
+    return [int.from_bytes(raw[i : i + c], "little") for i in range(0, len(raw), c)]
 
 
 def denumerant_oracle(gens: GeneratorTuple, n: int) -> int:
