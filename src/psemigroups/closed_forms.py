@@ -106,6 +106,9 @@ def gcd_reduce(gens: GeneratorTuple) -> GcdReduction:
     mod a1 and is at least d*m, so the least member of each class has
     x0 = 0: it is d times the least member of T_p in the matching class.
     At p = 0 this gives Johnson's lift of the Frobenius number (1960).
+
+    With d = 1 the quotients are the other generators unchanged, so the
+    reduced tuple is ``gens`` itself, returned without validating it again.
     """
     elements = gens.elements
     for i, a1 in enumerate(elements):
@@ -114,7 +117,8 @@ def gcd_reduce(gens: GeneratorTuple) -> GcdReduction:
         quotients = [r // d for r in rest]
         if gcd(a1, d) == 1 and a1 not in quotients:
             break
-    return GcdReduction(a1=a1, d=d, reduced=validate_generators([a1, *quotients]))
+    reduced = gens if d == 1 else validate_generators([a1, *quotients])
+    return GcdReduction(a1=a1, d=d, reduced=reduced)
 
 
 def _check_arith(a: int, d: int, p: int) -> None:

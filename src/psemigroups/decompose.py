@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .core import (
     InternalConsistencyError, PSemigroup, ValidationError,
-    _bits, _least_positive, _table_of, _window, validate_generators,
+    _bits, _check_table_size, _least_positive, _table_of, _window, validate_generators,
 )
 from .enumeration import build_psemigroup
 from .symmetry import _pairs_exactly_one, pseudo_frobenius
@@ -176,11 +176,22 @@ def irreducible_decomposition(semigroup: FiniteSemigroup) -> list[FiniteSemigrou
     The input must be a numerical semigroup.  A table without 0 raises
     ``ValidationError``; additive closure is a precondition, not checked
     here (``verify_decomposition`` checks it).
+
+    The walk's bytes are bounded before it starts, (m - 1) * (F + 1) for
+    multiplicity m, and checked against the size cap as entries.  Each
+    component is a table of at most F + 1 bytes, and there are at most
+    m - 1 of them.  The target g is always pseudo-Frobenius: every
+    component so far contains g, so a gap g + s, s a positive member,
+    would lie above g and be excluded by some component T, yet g and s
+    are in T.  Distinct components have distinct targets, and the
+    pseudo-Frobenius numbers are the tops of distinct nonzero classes mod m
+    (the ``symmetry`` docstring).
     """
     if not semigroup.contains(0):
         raise ValidationError("a numerical semigroup holds 0")
     table = semigroup.membership
     length = len(table)
+    _check_table_size((semigroup.multiplicity - 1) * length, "the irreducible decomposition")
     members = _bits(table)
     mirrored = _bits(table[::-1])
     components: list[FiniteSemigroup] = []

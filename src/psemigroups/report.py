@@ -8,15 +8,18 @@ and the gap sum as weighted popcounts of 4,096-bit words (``_gap_sum``),
 with no Python object per gap.  Tuple and bytes come from the same
 bit-plane build, so this checks the formulas, not the build; ``verify=True``
 adds the heavier re-derivations, each sharing no kernel with the planes.
-First come the ones whose work can outgrow the membership table, each
-estimated and checked against the size cap before it runs (the two count
-oracles check their own): three-way pseudo-Frobenius agreement, with the
-symmetry flags against that PF set, then membership from the count table
-(which shares only their shift schedule) and the Hilbert factorization
-identity, which checks the Apery tuple.  Then the ones with no estimate of
-their own: the minimal generators as the members that are not sums,
-shifted by that tuple (counted against the embedding dimension, within the
-work of the build's own sumset), the scanned valuation lengths, brute-force power sums over the gaps (one
+The ones whose work can outgrow the membership table, each estimated and
+checked against the size cap before it runs (the two count oracles check
+their own), run before the default path's sumset, the embedding
+dimension, so a job over the cap is refused before that longest step:
+three-way pseudo-Frobenius agreement (the two gap oracles share one
+candidate list), with the symmetry flags against that PF set, then
+membership from the count table (which shares only their shift schedule)
+and the Hilbert factorization identity, which checks the Apery tuple.
+After the sumset come the ones with no estimate of their own: the minimal
+generators as the members that are not sums, shifted by that tuple
+(counted against the embedding dimension, within the work of the sumset),
+the scanned valuation lengths, brute-force power sums over the gaps (one
 running product per exponent, streamed over chunks of the table), and the
 closed forms as whole Apery tuples, each a witness for every membership bit
 at O(a1) cost: the gcd-reduction lift of a separately built reduced tuple,
@@ -30,7 +33,7 @@ one.
 
 from __future__ import annotations
 
-from itertools import compress, count, repeat
+from itertools import compress, count
 from operator import mul
 
 from .core import (
@@ -47,6 +50,7 @@ from .enumeration import (
 )
 from .apery import apery_set, frobenius_from_apery, gap_power_sums
 from .symmetry import (
+    _pf_candidates,
     classify,
     pf_via_apery_maximals,
     pf_via_gap_maximals,
@@ -147,26 +151,34 @@ def check_components(
 def _streamed_power_sums(table: bytes, exponents) -> dict:
     """Each exponent mu mapped to the sum of the mu-th powers of the gaps of ``table``.
 
-    One running product per exponent over each chunk's gaps, never a list
-    of all of them.
+    The exponents must be 1, 2, ... in order, as ``report["power_sums"]``
+    gives them: each chunk's running product starts as its gap list, the
+    first powers, and each later exponent multiplies it by the gaps once
+    more.  Never a list of all the gaps.
     """
     sums = dict.fromkeys(exponents, 0)
     for start in range(0, len(table), _CHUNK):
         chunk = list(compress(count(start), table[start : start + _CHUNK].translate(_FLIP)))
-        powers = repeat(1)
+        powers = chunk
         for mu in sums:
-            powers = list(map(mul, powers, chunk))
+            if mu > 1:
+                powers = list(map(mul, powers, chunk))
             sums[mu] += sum(powers)
     return sums
 
 
-def _verify_extras(semigroup: PSemigroup, report: dict) -> None:
+def _verify_estimated(semigroup: PSemigroup, report: dict) -> None:
+    """The ``--verify`` oracles that check a work estimate, run before the sumset.
+
+    A job over the cap is refused before the default path's longest step
+    and before the unchecked oracles stream the table; the series check
+    also checks the Apery tuple that the generator oracle shifts by.
+    """
     gens, p = semigroup.gens, semigroup.p
-    # The oracles that check a work estimate run first, so a job over the
-    # cap is refused before the unchecked ones stream the table; the series
-    # check also checks the Apery tuple that the generator oracle shifts by.
     pf = report["pf"]  # the Apery-maximal reading, checked against two oracles
-    via_definition, via_gaps = pseudo_frobenius(semigroup), pf_via_gap_maximals(semigroup)
+    candidates = _pf_candidates(semigroup)
+    via_definition = pseudo_frobenius(semigroup, candidates=candidates)
+    via_gaps = pf_via_gap_maximals(semigroup, candidates=candidates)
     if not (pf == via_definition == via_gaps):
         _mismatch("pseudo-Frobenius sets", pf, (via_definition, via_gaps), gens, p)
     # The pairing flags against the PF set, two kernels over one build: at
@@ -186,6 +198,11 @@ def _verify_extras(semigroup: PSemigroup, report: dict) -> None:
         _mismatch("symmetry flags against the PF set", claimed, pf, gens, p)
     trunc = 2 * (semigroup.frobenius + 1) + gens.least
     check_series(semigroup, hilbert_direct(semigroup, trunc), gaps_series(semigroup, trunc))
+
+
+def _verify_unchecked(semigroup: PSemigroup, report: dict) -> None:
+    """The ``--verify`` oracles with no work estimate of their own, run after the sumset."""
+    gens, p = semigroup.gens, semigroup.p
     # the report's embedding dimension counts the sumset's generators; the
     # tests compare the sumset's list itself with the oracle's scans
     dimension, oracle = report["embedding_dimension"], _generator_count(semigroup)
@@ -265,8 +282,10 @@ def build_invariant_report(
         "type": len(pf),
         "classification": classify(semigroup),
         "valuation": valuation,
-        "embedding_dimension": embedding_dimension(semigroup),
     }
     if verify:
-        _verify_extras(semigroup, report)
+        _verify_estimated(semigroup, report)
+    report["embedding_dimension"] = embedding_dimension(semigroup)
+    if verify:
+        _verify_unchecked(semigroup, report)
     return report

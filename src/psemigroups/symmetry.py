@@ -136,7 +136,9 @@ def _pf_candidates(semigroup: PSemigroup) -> list[int]:
     return out
 
 
-def pseudo_frobenius(semigroup: PSemigroup) -> list[int]:
+def pseudo_frobenius(
+    semigroup: PSemigroup, *, candidates: list[int] | None = None
+) -> list[int]:
     """Non-members x with x + t inside for every positive shifted member t.
 
     Only the candidates of ``_pf_candidates`` are tested, and for each only
@@ -144,12 +146,14 @@ def pseudo_frobenius(semigroup: PSemigroup) -> list[int]:
     a shift too, and x + t inside puts x + t + k * modulus inside.  Shifts
     t > frobenius - x land past the Frobenius number and never matter.  The
     work, candidates times those shifts (at most modulus**2), is checked
-    against the size cap first.
+    against the size cap first.  ``candidates``, if given, is that list,
+    so ``--verify`` scans the table for it once for both gap oracles.
     """
     g = semigroup.frobenius
     table = semigroup.membership
     least = semigroup.least_element
-    candidates = _pf_candidates(semigroup)
+    if candidates is None:
+        candidates = _pf_candidates(semigroup)
     # byte t - 1 is least + t for 1 <= t <= g; members past the table padded in
     above_least = _window(table, least + 1, least + g + 1)
     shifts = sorted(i + 1 for i in _least_per_class(above_least, semigroup.modulus) if i < g)
@@ -170,13 +174,16 @@ def pseudo_frobenius(semigroup: PSemigroup) -> list[int]:
     return out
 
 
-def pf_via_gap_maximals(semigroup: PSemigroup) -> list[int]:
+def pf_via_gap_maximals(
+    semigroup: PSemigroup, *, candidates: list[int] | None = None
+) -> list[int]:
     """Maximal gaps under x <= y iff y - x is 0 or a positive shifted member.
 
     One shift-AND per candidate on bit-per-integer words: x is dominated iff
     some gap x + t, t >= 1, has least + t a member, i.e. the gap word
     shifted down by x meets the word of those shifts t.  Only the at most
-    ``modulus`` candidates of ``_pf_candidates`` are tested, so the work is
+    ``modulus`` candidates of ``_pf_candidates`` (or ``candidates``, that
+    list computed once for both oracles) are tested, so the work is
     candidates times the words of an F-bit integer, run in C and checked
     against the size cap first.  The words come from ``_bits``, the builder
     that every word of the decomposition shares.  ``pseudo_frobenius`` (the
@@ -192,9 +199,10 @@ def pf_via_gap_maximals(semigroup: PSemigroup) -> list[int]:
     g = semigroup.frobenius
     table = semigroup.membership
     least = semigroup.least_element
-    gap_word = _bits(table.translate(_FLIP))
-    candidates = _pf_candidates(semigroup)
+    if candidates is None:
+        candidates = _pf_candidates(semigroup)
     _check_work(len(candidates) * (g // 64 + 1), table, "the gap pseudo-Frobenius oracle")
+    gap_word = _bits(table.translate(_FLIP))
     # bit t is set iff t >= 1 and least + t is a member; t > g never matters
     shifts = _bits(_window(table, least + 1, least + g + 1)) << 1
     return [x for x in candidates if (gap_word >> x) & shifts == 0]

@@ -731,6 +731,8 @@ def _bump_mu_2(sums: list) -> list:
         ("report", "pf_via_gap_maximals", lambda pf: pf[:-1], "invariants", "p=1"),
         ("report", "pseudo_frobenius", lambda pf: pf[:-1], "invariants", "p=1"),
         ("report", "pf_via_apery_maximals", lambda pf: pf[:-1], "invariants", "p=1"),
+        # the list both gap oracles share: F dropped, the Apery reading differs
+        ("report", "_pf_candidates", lambda candidates: candidates[:-1], "invariants", "p=1"),
         ("report", "gap_power_sums", _bump_mu_2, "invariants", "p=1"),
         ("report", "_generator_count", lambda count: count + 1, "invariants", "p=1"),
         # the three closed Apery tuples; the lift reads both builds with
@@ -753,7 +755,7 @@ def test_verify_cross_checks_exit_1_naming_gens_and_p(
 
     owner = importlib.import_module(f"psemigroups.{module}")
     real = getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *args: corrupt(real(*args)))
+    monkeypatch.setattr(owner, name, lambda *args, **kw: corrupt(real(*args, **kw)))
     command, *extra = argv.split()
     gens = "3,5"
     if extra[:1] == ["--gens"]:
@@ -833,6 +835,18 @@ def test_verify_power_sums_stream_over_the_table(peak_rss_kib):
     assert grown * 1024 < 64 * frontier
 
 
+@pytest.mark.parametrize("mu_max", [0, 4])
+def test_streamed_power_sums_match_the_gap_powers_across_chunks(mu_max):
+    """Over three chunks of the stream, gaps in each, for no exponent and for 1..4."""
+    from psemigroups.report import _CHUNK, _streamed_power_sums
+
+    table = bytes(n % 7 != 0 and n % 11 != 3 for n in range(2 * _CHUNK + 100))
+    gaps = [n for n, member in enumerate(table) if not member]
+    exponents = range(1, mu_max + 1)
+    expected = {mu: sum(x**mu for x in gaps) for mu in exponents}
+    assert _streamed_power_sums(table, exponents) == expected
+
+
 # Jobs whose build and default report fit under the cap, but one --verify
 # oracle's work estimate does not: the definitional pseudo-Frobenius oracle
 # costs 1009 candidates times 1009 shifts = 1,018,081 on the first, and 39
@@ -856,23 +870,55 @@ def test_verify_oracles_are_bounded_by_the_table_cap(capsys, monkeypatch, gens, 
 
 
 def test_verify_refuses_a_capped_job_before_the_unchecked_oracles(capsys, monkeypatch):
-    """A job that a pseudo-Frobenius oracle refuses never enters the generator
-    oracle or the power-sum stream, which check no work estimate of their own."""
+    """A job that a pseudo-Frobenius oracle refuses never enters the default
+    path's sumset, the generator oracle or the power-sum stream, which check
+    no work estimate of their own."""
     from psemigroups import report
 
     calls = []
-    for name in ("_generator_count", "_streamed_power_sums"):
+    for name in ("embedding_dimension", "_generator_count", "_streamed_power_sums"):
         real = getattr(report, name)
         spy = lambda *args, real=real, name=name: calls.append(name) or real(*args)
         monkeypatch.setattr(report, name, spy)
     job = ["invariants", "--gens", "40,41,42,43,44,45", "-p", "0", "--verify"]
     assert run(capsys, job)[0] == 0
-    assert calls == ["_generator_count", "_streamed_power_sums"]
+    assert calls == ["embedding_dimension", "_generator_count", "_streamed_power_sums"]
     calls.clear()
     monkeypatch.setenv("PSG_MAX_TABLE", "1000")
     code, out, err = run(capsys, job)
     assert (code, out, calls) == (2, "", [])
     assert "the definitional pseudo-Frobenius oracle" in err
+
+
+@pytest.mark.parametrize("gens, p", [("3,5", "1"), ("5,7,9", "0"), ("6,17,28", "5")])
+def test_verify_scans_the_pf_candidates_once_per_job(capsys, monkeypatch, gens, p):
+    """Both gap pseudo-Frobenius oracles test the one candidate list of a job."""
+    from psemigroups import report, symmetry
+
+    calls = []
+    real = symmetry._pf_candidates
+    spy = lambda semigroup: calls.append(semigroup) or real(semigroup)
+    monkeypatch.setattr(symmetry, "_pf_candidates", spy)
+    monkeypatch.setattr(report, "_pf_candidates", spy)
+    assert run(capsys, ["invariants", "--gens", gens, "-p", p, "--verify"])[0] == 0
+    assert len(calls) == 1
+
+
+def test_decompose_is_refused_before_its_walk_by_the_component_bound(capsys, monkeypatch):
+    """(47, 57) at p = 24: multiplicity 64,296 and Frobenius number 66,871
+    bound the walk's bytes by 64,295 * 66,872, about 4.3e9 entries, so it
+    exits 2 up front, on argv and in batch.  Without the bound it ran out of
+    memory after minutes."""
+    monkeypatch.delenv("PSG_MAX_TABLE", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["decompose", "--gens", "47,57", "-p", "24"])
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert "the irreducible decomposition" in err and "PSG_MAX_TABLE" in err
+    job = {"command": "decompose", "gens": [47, 57], "p": 24}
+    code, lines = _batch(monkeypatch, capsys, [json.dumps(job)])
+    assert (code, [line["exit"] for line in lines]) == (2, [2])
+    assert "the irreducible decomposition" in lines[0]["error"]
 
 
 def test_component_span_check_reads_a_gap_at_its_limit():

@@ -132,9 +132,19 @@ def test_gcd_reduce_examples():
     red = gcd_reduce(validate_generators([17, 20, 30]))
     assert (red.a1, red.d) == (17, 10)
     assert red.reduced.elements == (2, 3, 17)
-    identity = gcd_reduce(validate_generators([3, 10, 17]))
+    gens = validate_generators([3, 10, 17])
+    identity = gcd_reduce(gens)
     assert (identity.a1, identity.d) == (3, 1)
-    assert identity.reduced.elements == (3, 10, 17)
+    assert identity.reduced is gens
+    # d = 1 keeps the input tuple, its minimal flag included
+    redundant = validate_generators([3, 5, 8])
+    assert not redundant.minimal
+    assert gcd_reduce(redundant) == (3, 1, redundant)
+    assert gcd_reduce(redundant).reduced is redundant
+    # at a1 = 3 the quotient 6 / gcd(6, 8) is 3 itself, so d = 1 comes at a1 = 6
+    later = validate_generators([3, 6, 8])
+    assert gcd_reduce(later) == (6, 1, later)
+    assert gcd_reduce(later).reduced is later
 
 
 def test_gcd_reduce_two_generators():

@@ -26,7 +26,7 @@ from psemigroups.decompose import (
     is_irreducible_classic,
     is_irreducible_shifted,
 )
-from psemigroups.symmetry import _pairs_exactly_one
+from psemigroups.symmetry import _pairs_exactly_one, _pf_candidates
 
 CORPUS = [
     ((3, 10, 17), range(0, 8)),
@@ -475,6 +475,20 @@ def test_filtered_pf_oracles_match_the_unfiltered_scan(raw, p):
         expected = _pf_unfiltered(U)
         assert pseudo_frobenius(U) == expected
         assert pf_via_gap_maximals(U) == expected
+
+
+def test_gap_pf_oracles_take_the_shared_candidate_list(build):
+    """Given the candidate list, each gap oracle answers as from its own scan,
+    on p-semigroups and their adjoined-zero semigroups; it tests only that list."""
+    for tup, ps in CORPUS:
+        for p in ps:
+            S = build(tup, p)
+            for U in [S, FiniteSemigroup.from_psemigroup(S)]:
+                candidates = _pf_candidates(U)
+                assert pseudo_frobenius(U, candidates=candidates) == pseudo_frobenius(U)
+                assert pf_via_gap_maximals(U, candidates=candidates) == pf_via_gap_maximals(U)
+                assert pseudo_frobenius(U, candidates=[]) == []
+                assert pf_via_gap_maximals(U, candidates=[]) == []
 
 
 def test_embedding_dimension_and_type_bounds(build):
