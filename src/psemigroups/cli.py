@@ -36,8 +36,8 @@ from .report import build_invariant_report, check_components, check_denumerant, 
 SWEEP_RANGE_LIMIT = 10**4
 # The Bernoulli recurrence (once per process) and the gap_power_sums expansion
 # each cost about 4x per doubling of mu; PSG_MAX_TABLE does not bound them.
-# At mu = 100, (90,150,211,269) with p = 20 takes 0.11-0.18 s per process on a
-# 2-vCPU Xeon VM, about 0.05 s more than at mu = 0; (3,5) at mu = 400, 1 s.
+# At mu = 100, (90,150,211,269) with p = 20 takes 0.10-0.15 s per process on a
+# 2-vCPU Xeon VM, about 0.025 s more than at mu = 0; (3,5) at mu = 400, 1 s.
 MU_LIMIT = 100
 
 

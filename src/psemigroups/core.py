@@ -16,9 +16,10 @@ membership build, the minimal generators' sumset, ``pf_via_gap_maximals``
 and every word of the decomposition; ``_bits`` turns bytes into such a word
 and ``_table_of`` turns it back.  ``_digits`` writes a table, or any 0/1
 series held in the same format, as ASCII digits for output, and
-``_gap_sum`` sums its non-members with weighted popcounts.  ``_window``,
-``_least_per_class`` and ``_least_positive`` count the members past a table,
-so no other module pads one.
+``_gap_sum`` sums its non-members, the leading run in closed form and the
+rest with weighted popcounts.  ``_window``, ``_least_per_class`` and
+``_least_positive`` count the members past a table, so no other module pads
+one.
 """
 
 from __future__ import annotations
@@ -140,20 +141,28 @@ _INDEX_BITS = tuple(
 def _gap_sum(table: bytes) -> int:
     """The sum of the non-members of ``table``: the indices of its zero bytes.
 
-    The table is read in chunks of _CHUNK bytes.  With G the word of the
-    zero bytes of the chunk from ``base``, bit i for byte base + i, the chunk
-    adds base * popcount(G) + sum_k 2**k * popcount(G & I_k), where I_k is
-    entry k of ``_INDEX_BITS``: every offset i is the sum of the 2**k whose
-    bit k it has.  A chunk of n bytes needs I_k only for k below
-    (n - 1).bit_length(), so a small table takes a few ANDs.  No Python
-    object per gap, and no mask as long as the table.
+    The leading gaps 0..s-1, s the first member (the table's length when it
+    has none), sum to s(s-1)/2; on a p-semigroup at p >= 1, s is the least
+    element, and that run often holds most of the gaps.  Only the bytes from
+    s on are translated, and read in chunks of _CHUNK bytes.  With G the
+    word of the zero bytes of the chunk from table index b, bit i for byte
+    b + i, the chunk adds b * popcount(G) + sum_k 2**k * popcount(G & I_k),
+    where I_k is entry k of ``_INDEX_BITS``: every offset i is the sum of
+    the 2**k whose bit k it has.  A chunk of n bytes needs I_k only for k
+    below (n - 1).bit_length(), so a small table takes a few ANDs.  No
+    Python object per gap, and no mask as long as the table.  The bytes
+    alone decide the sum, so it checks the Apery-tuple formula without
+    sharing any of its arithmetic.
     """
-    digits = table.translate(_GAP_DIGITS)
-    total = 0
+    start = table.find(1)
+    if start < 0:
+        start = len(table)
+    digits = table[start:].translate(_GAP_DIGITS)
+    total = start * (start - 1) // 2
     for base in range(0, len(digits), _CHUNK):
         chunk = digits[base : base + _CHUNK]
         gaps = int(chunk[::-1], 2)
-        total += base * gaps.bit_count()
+        total += (start + base) * gaps.bit_count()
         for k in range((len(chunk) - 1).bit_length()):
             total += (gaps & _INDEX_BITS[k]).bit_count() << k
     return total

@@ -4,10 +4,12 @@ The report always cross-checks the Apery-formula Frobenius number, genus
 and gap sum against the ones read off the membership bytes (cheap, and
 provably equal); genus and gap sum are entries 0 and 1 of the expansion that
 gives every power sum.  The bytes give the genus as a count of zero bytes
-and the gap sum as weighted popcounts of 4,096-bit words (``_gap_sum``),
-with no Python object per gap.  Tuple and bytes come from the same
-bit-plane build, so this checks the formulas, not the build; ``verify=True``
-adds the heavier re-derivations, each sharing no kernel with the planes.
+and the gap sum (``_gap_sum``) as s(s-1)/2 for the leading gaps below the
+first member s, plus weighted popcounts of 4,096-bit words of the rest,
+with no Python object per gap and no arithmetic shared with the expansion.
+Tuple and bytes come from the same bit-plane build, so this checks the
+formulas, not the build; ``verify=True`` adds the heavier re-derivations,
+each sharing no kernel with the planes.
 The ones whose work can outgrow the membership table, each estimated and
 checked against the size cap before it runs (the two count oracles check
 their own), run before the default path's sumset, the embedding

@@ -44,6 +44,8 @@ modulus its multiplicity) run on them too.
 
 from __future__ import annotations
 
+from operator import add
+
 from .core import (
     _FLIP, InternalConsistencyError, PSemigroup, ValidationError,
     _bits, _check_work, _least_per_class, _window,
@@ -70,8 +72,11 @@ def _pairing(semigroup: PSemigroup) -> tuple[bool, int, bool | None]:
     the Apery one, where class r pairs with class total - r: their elements
     sum to total + a, except in the midpoint's own class, whose element is
     the midpoint when that is a member and the midpoint plus a when not.
-    When the pairing holds, the gap count must be one per pair plus one for
-    a non-member midpoint.
+    With c = total mod a, the partner of class r is class (c - r) mod a, so
+    the partners in class order are the tuple read down from c and then
+    down from a - 1 to c + 1: two slices and one ``map(add)``, no Python
+    step per class.  When the pairing holds, the gap count must be one per
+    pair plus one for a non-member midpoint.
     """
     total = semigroup.frobenius + semigroup.least_element
     mid_member = semigroup.contains(total // 2) if total % 2 == 0 else None
@@ -81,7 +86,8 @@ def _pairing(semigroup: PSemigroup) -> tuple[bool, int, bool | None]:
     expected = [total + a] * a
     if mid_member is not None:
         expected[total // 2 % a] = total + (0 if mid_member else 2 * a)
-    apery_pairing = [ap[r] + ap[(total - r) % a] for r in range(a)] == expected
+    c = total % a
+    apery_pairing = list(map(add, ap, ap[c::-1] + ap[:c:-1])) == expected
     where = f"gens={semigroup.gens.elements} p={semigroup.p}"
     if pairing != apery_pairing:
         raise InternalConsistencyError(

@@ -3,7 +3,7 @@ from functools import reduce
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psemigroups import (
@@ -20,6 +20,7 @@ from psemigroups import (
     power_sum,
     validate_generators,
 )
+from psemigroups.cli import MU_LIMIT
 from psemigroups.core import _least_per_class
 
 CORPUS = [
@@ -164,6 +165,18 @@ def test_apery_random_consistency(raw, p):
     assert frobenius_from_apery(ap) == (gap_list[-1] if gap_list else -1)
     assert gap_power_sums(ap, 1) == [len(gap_list), sum(gap_list)]
     assert power_sum(S, 2) == sum(n * n for n in gap_list)
+
+
+@settings(max_examples=25, deadline=None)
+@given(gen_lists, st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=8))
+@example([90, 150, 211, 269], 2, MU_LIMIT)
+@example([1, 2], 0, MU_LIMIT)  # no gap: every sum is 0
+@example([2, 3], 0, 0)
+def test_gap_power_sums_match_the_gap_powers(raw, p, mu):
+    """Every entry of the running-product expansion, up to the CLI's largest mu."""
+    S = build_psemigroup(validate_generators(raw), p)
+    gap_list = gaps(S)
+    assert gap_power_sums(apery_set(S), mu) == [sum(n**m for n in gap_list) for m in range(mu + 1)]
 
 
 def test_apery_gcd_scaling(build):

@@ -16,7 +16,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import psemigroups
-from psemigroups.cli import COMMANDS, _argv_table, _parse_argv, canonical_json, cmd_hilbert, main
+from psemigroups.cli import (
+    COMMANDS, _argv_table, _job_fields, _parse_argv, canonical_json, cmd_hilbert, main,
+)
 from psemigroups.core import ValidationError
 
 REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "references"
@@ -1323,3 +1325,87 @@ def test_a_wide_denumerant_oracle_job_does_not_end_the_batch(capsys, monkeypatch
     assert code == 0
     assert out[0] == out[2] == {"gens": [2, 5, 7], "n": 43, "denumerant": "17"}
     assert out[1]["denumerant"] == "0"
+
+
+# The child caps its own address space before it imports the package, so a
+# job that allocated past the table cap would end in a MemoryError, which
+# the contract forbids as much as a traceback.
+_CAPPED_BATCH = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from psemigroups.cli import main
+sys.exit(main(["batch", "-"]))
+"""
+
+
+def _fuzz_value(rng, small):
+    """A batch field value: mostly in range, else huge, negative or of a wrong JSON type."""
+    roll = rng.random()
+    if roll < 0.75:
+        return small()
+    if roll < 0.87:
+        return rng.choice([10**rng.randint(6, 40), -(10**rng.randint(0, 40)), 0, -1])
+    return rng.choice([None, True, False, 1.5, "7", "0..2", [], [3], {"x": 1}])
+
+
+_FUZZ_FIELDS = {
+    "p": lambda rng: rng.randint(-2, rng.choice([12, 12, 12, 150])),
+    "n": lambda rng: rng.randint(-5, rng.choice([500, 50000])),
+    "mu": lambda rng: rng.choice([-1, 0, 1, 3, 100, 101]),
+    "trunc": lambda rng: rng.randint(-1, 300),
+    "verify": lambda rng: rng.random() < 0.5,
+}
+
+
+def _fuzz_line(rng) -> bytes:
+    """One seeded random batch line: a job of any command, JSON of no job, or raw bytes.
+
+    A job mostly gives the fields its command takes, and now and then one
+    it does not.
+    """
+    roll = rng.random()
+    if roll < 0.08:
+        # printable ASCII and lone UTF-8 continuation bytes: never a line break
+        alphabet = [*range(0x20, 0x7F), *range(0x80, 0xC0)]
+        return bytes(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+    if roll < 0.12:
+        return json.dumps(rng.choice([[], 3, "x", None, [{"gens": [3, 5]}]])).encode()
+    command = rng.choice([*COMMANDS] * 9 + ["batch", "nope", 3, None])
+    takes = _job_fields(command)[0] if command in COMMANDS else ()
+    job = {"gens": _fuzz_value(rng, lambda: rng.sample(range(1, 41), rng.randint(2, 4)))}
+    if command != "invariants" or rng.random() < 0.5:  # invariants is the default
+        job["command"] = command
+    for key, value in _FUZZ_FIELDS.items():
+        if rng.random() < (0.8 if key in takes else 0.03):
+            job[key] = _fuzz_value(rng, lambda: value(rng))
+    return json.dumps(job).encode()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="sets RLIMIT_AS with resource")
+def test_seeded_batch_fuzz_keeps_the_exit_code_contract_in_a_capped_process():
+    """300 random lines under a 200,000-entry cap and a 1 GB address space.
+
+    Every command, wrong JSON types, huge and negative values, bytes that
+    are not UTF-8 and blank lines: one output line per non-blank line, the
+    exit code of the worst line, 0, 1 or 2, and no traceback.
+    """
+    rng = random.Random(2024)
+    lines = [_fuzz_line(rng) if rng.random() < 0.95 else b"  " for _ in range(300)]
+    src = str(Path(psemigroups.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_BATCH],
+        input=b"\n".join(lines) + b"\n",
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src, "PSG_MAX_TABLE": "200000"},
+        timeout=60,
+        check=False,
+    )
+    assert b"Traceback" not in done.stderr and b"MemoryError" not in done.stderr
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    numbers = [number for number, line in enumerate(lines, 1) if line.strip()]
+    assert len(rows) == len(numbers)
+    exits = [row["exit"] for row in rows if "error" in row]
+    assert all(row["line"] == number for number, row in zip(numbers, rows) if "error" in row)
+    assert done.returncode == min(exits, default=0) and done.returncode in (0, 1, 2)
+    # the seed reaches answers as well as rejections
+    assert 2 in exits and len(exits) < len(rows)

@@ -205,15 +205,21 @@ def test_words_round_trip_through_tables(table, high):
 
 
 # Around the 4,096-byte chunks of ``_gap_sum``: empty, one byte, one chunk
-# short, exact and one over, two chunks and one over.
+# short, exact and one over, two chunks and one over; runs of leading gaps
+# of 0, 1 and 4,095 to 4,097 bytes, which it sums in closed form, shift the
+# chunks off zero.
 @pytest.mark.parametrize("length", [0, 1, 4095, 4096, 4097, 8193])
 @settings(max_examples=12, deadline=None)
 @given(rng=st.randoms(use_true_random=True), density=st.sampled_from([0.001, 0.5, 0.999]))
 def test_gap_sum_is_the_sum_of_the_gaps(length, rng, density):
-    """Random tables, tables of gaps only and tables with no gap at all."""
-    for table in (
-        bytes(rng.random() >= density for _ in range(length)),
-        b"\x00" * length,
-        b"\x01" * length,
-    ):
-        assert _gap_sum(table) == sum(gaps(FiniteSemigroup(table)))
+    """Random tables behind each run of leading gaps, with and without a
+    member right after it, tables of gaps only and tables with no gap at all."""
+    random = bytes(rng.random() >= density for _ in range(length))
+    for prefix in (0, 1, 4095, 4096, 4097):
+        for table in (
+            b"\x00" * prefix + random,
+            b"\x00" * prefix + b"\x01" + random,
+            b"\x00" * (prefix + length),
+            b"\x01" * length,
+        ):
+            assert _gap_sum(table) == sum(gaps(FiniteSemigroup(table)))

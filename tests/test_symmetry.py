@@ -26,7 +26,7 @@ from psemigroups.decompose import (
     is_irreducible_classic,
     is_irreducible_shifted,
 )
-from psemigroups.symmetry import _pairs_exactly_one, _pf_candidates
+from psemigroups.symmetry import _pairing, _pairs_exactly_one, _pf_candidates
 
 CORPUS = [
     ((3, 10, 17), range(0, 8)),
@@ -461,7 +461,8 @@ gen_lists_from_1 = (
 @example([5, 7, 9], 3)
 def test_filtered_pf_oracles_match_the_unfiltered_scan(raw, p):
     """The a1-filtered oracles on p-semigroups, their adjoined-zero
-    semigroups, decomposition components and {0} with [5, oo).
+    semigroups, decomposition components and {0} with [5, oo), and the
+    Apery-maximal reading on the p-semigroups.
 
     Only the first and last components: the scan costs about F**2 probes
     on an irreducible semigroup, and an input can have hundreds of them.
@@ -469,6 +470,7 @@ def test_filtered_pf_oracles_match_the_unfiltered_scan(raw, p):
     from psemigroups import build_psemigroup, validate_generators
 
     S = build_psemigroup(validate_generators(raw), p)
+    assert pf_via_apery_maximals(S) == _pf_unfiltered(S)
     T = FiniteSemigroup.from_psemigroup(S)
     components = irreducible_decomposition(T)
     for U in [S, T, components[0], components[-1], FiniteSemigroup(b"\x01\x00\x00\x00\x00")]:
@@ -503,3 +505,28 @@ def test_embedding_dimension_and_type_bounds(build):
             assert len(minimal_generators(S)) <= least
             classic = FiniteSemigroup.from_psemigroup(S)
             assert len(pseudo_frobenius(classic)) <= least - 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(gen_lists_from_1, st.integers(min_value=0, max_value=8))
+@example([4, 5, 6], 8)  # symmetric: total odd
+@example([3, 7, 11], 4)  # pseudo-symmetric, midpoint 36 a member
+@example([6, 7, 17, 28], 17)  # pseudo-symmetric, midpoint 99 a gap
+@example([5, 9, 16], 2)  # no pairing
+@example([1, 2], 0)  # total -1 and a1 = 1
+def test_apery_pairing_matches_the_per_class_definition(raw, p):
+    """``_pairing`` reads its partners as two slices of the tuple; class r
+    pairs with class (total - r) mod a1, one step per class."""
+    from psemigroups import build_psemigroup, validate_generators
+
+    S = build_psemigroup(validate_generators(raw), p)
+    holds, total, mid_member = _pairing(S)
+    ap = apery_set(S)
+    a = len(ap)
+    expected = [total + a] * a
+    if total % 2 == 0:
+        assert mid_member == S.contains(total // 2)
+        expected[total // 2 % a] = total + (0 if mid_member else 2 * a)
+    else:
+        assert mid_member is None
+    assert holds == ([ap[r] + ap[(total - r) % a] for r in range(a)] == expected)
