@@ -7,7 +7,10 @@ command to its function and renderers, and ``_FIELDS`` maps each field to
 its JSON type, option spellings and help.  A command takes the fields its
 function's signature names, and needs those without a default.  ``main``
 reads argv through one flag table per command derived from these, and
-``batch`` checks each JSON job against them.
+``batch`` checks each JSON job against them.  Each job decision has one
+reader that both routes share: ``_job_fields`` reads the signature,
+``_check_types`` the JSON types of a batch job's fields and ``_parse_p``
+the threshold p; argv keeps its own lexer, whose errors are argv's.
 
 Exit codes are a stable contract: 0 success, 1 internal-consistency
 failure, 2 input validation error.  JSON output is canonical (fixed field
@@ -225,19 +228,13 @@ COMMANDS = {
 }
 
 
-def _p_values(lo: int, hi: int, text: str, command: str) -> int | range:
-    """The p a command takes from the range lo..hi: all of it for sweep, else one."""
-    if lo < 0 or hi < lo:
-        raise ValidationError(f"bad p range {text!r}")
-    if command == "sweep":
-        return range(lo, hi + 1)
-    if lo != hi:
-        raise ValidationError("this command expects a single p, not a range")
-    return lo
-
-
 def _parse_p(text: str, command: str) -> int | range:
-    """'5' -> 5; '0..5' -> range(0, 6), for sweep only."""
+    """The one reader of p, for argv and batch alike: '5' -> 5; 'A..B' -> range(A, B + 1).
+
+    Sweep takes the whole range, and '5' as range(5, 6); every other
+    command takes one p, so a range of more than one value is refused.  A
+    batch job's p, an integer, is read as its decimal text.
+    """
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
@@ -246,7 +243,13 @@ def _parse_p(text: str, command: str) -> int | range:
             lo = hi = int(text)
     except ValueError:
         raise ValidationError(f"-p expects N or A..B, got {text!r}")
-    return _p_values(lo, hi, text, command)
+    if lo < 0 or hi < lo:
+        raise ValidationError(f"bad p range {text!r}")
+    if command == "sweep":
+        return range(lo, hi + 1)
+    if lo != hi:
+        raise ValidationError("this command expects a single p, not a range")
+    return lo
 
 
 def _parse_gens(text: str) -> GeneratorTuple:
@@ -280,36 +283,31 @@ _FIELDS = {
 }
 
 
-@functools.cache
-def _parameters(function) -> dict[str, bool]:
-    """Each parameter of a command's function, and whether a job must give it.
-
-    Read off the code object, whose positional parameters come first in
-    ``co_varnames``; the defaults belong to the last of them.
-    """
-    code = function.__code__
-    names = code.co_varnames[: code.co_argcount]
-    required = len(names) - len(function.__defaults__ or ())
-    return {name: i < required for i, name in enumerate(names)}
-
-
-_KINDS = {key: kind for key, (kind, _, _) in _FIELDS.items()}
-
-
 def _check_types(fields: dict) -> None:
-    """Reject the first field, in ``_FIELDS`` order, whose JSON type is wrong."""
-    for key, kind in _KINDS.items():
+    """The one type check of a batch job's fields, run on every job.
+
+    It rejects the first field, in ``_FIELDS`` order, whose JSON type is
+    wrong, whatever the order of the job's keys; unknown keys pass here.
+    """
+    for key, (kind, _, _) in _FIELDS.items():
         if key in fields and type(fields[key]) is not kind:
             name = "an integer" if kind is int else "true or false"
             raise ValidationError(f"batch job field {key!r} must be {name}, got {fields[key]!r}")
 
 
 @functools.cache
-def _job_fields(command: str) -> tuple[frozenset[str], list[str]]:
-    """The fields a batch job of ``command`` may give, and those it must."""
-    taken = dict(_parameters(COMMANDS[command][0]))
-    del taken["gens"]  # every job gives it, and it is checked first
-    return frozenset(taken), [key for key, required in taken.items() if required]
+def _job_fields(command: str) -> tuple[frozenset[str], tuple[str, ...]]:
+    """The one reader of a command's signature: the fields a job may give, and those it must.
+
+    Argv and batch both read it.  The names come off the code object of the
+    command's function, whose positional parameters come first in
+    ``co_varnames``; ``gens`` leads them and is left out, because every job
+    gives it and it is checked first, and the defaults belong to the last.
+    """
+    function = COMMANDS[command][0]
+    code = function.__code__
+    names = code.co_varnames[1 : code.co_argcount]
+    return frozenset(names), names[: len(names) - len(function.__defaults__ or ())]
 
 
 def _parse_job(line: str) -> tuple[str, GeneratorTuple, dict]:
@@ -328,10 +326,7 @@ def _parse_job(line: str) -> tuple[str, GeneratorTuple, dict]:
     if not isinstance(job.get("gens"), list):
         raise ValidationError("batch job needs a 'gens' list")
     gens = validate_generators(job.pop("gens"))
-    for key, value in job.items():
-        if type(value) is not _KINDS.get(key):
-            _check_types(job)
-            break
+    _check_types(job)
     takes, needs = _job_fields(command)
     if not takes.issuperset(job):
         untaken = sorted(job.keys() - takes)
@@ -340,8 +335,7 @@ def _parse_job(line: str) -> tuple[str, GeneratorTuple, dict]:
     if missing:
         raise ValidationError(f"batch command {command!r} needs {missing}")
     if "p" in job:
-        p = job["p"]
-        job["p"] = _p_values(p, p, str(p), command)
+        job["p"] = _parse_p(str(job["p"]), command)
     return command, gens, job
 
 

@@ -1011,6 +1011,33 @@ def test_input_errors_exit_2_with_their_message(
         assert _batch(monkeypatch, capsys, [json.dumps(job)]) == (2, [line])
 
 
+# argv's -p text and a batch job's integer p go through one reader: each -p
+# with its exact message, and the batch line with the same p, where one can
+# give it, answering with the same bytes.
+@pytest.mark.parametrize(
+    "command, text, job_p, words",
+    [
+        ("invariants", "-1", -1, "bad p range '-1'"),
+        ("sweep", "-1", -1, "bad p range '-1'"),
+        ("sweep", "3..1", None, "bad p range '3..1'"),
+        ("invariants", "x", None, "-p expects N or A..B, got 'x'"),
+        ("sweep", "0..", None, "-p expects N or A..B, got '0..'"),
+        ("sweep", "2", 2, None),
+    ],
+)
+def test_argv_and_batch_read_p_alike(capsys, tmp_path, command, text, job_p, words):
+    code, out, err = run(capsys, [command, "--gens", "3,7", "-p", text, "--json"])
+    if words is None:
+        assert (code, err) == (0, "") and out.count("\n") == 1
+    else:
+        assert (code, out, err) == (2, "", f"error: {words}\n")
+        out = canonical_json({"error": words, "exit": 2, "line": 1}) + "\n"
+    if job_p is not None:
+        jobs = tmp_path / "jobs"
+        jobs.write_text(json.dumps({"command": command, "gens": [3, 7], "p": job_p}) + "\n")
+        assert run(capsys, ["batch", str(jobs)]) == (code, out, "")
+
+
 def _taken(command):
     return set(inspect.signature(COMMANDS[command][0]).parameters) - {"gens"}
 
@@ -1050,17 +1077,17 @@ def _argparse_parser(command: str) -> argparse.ArgumentParser:
     An option left out is left out of the namespace, so the command's own
     default applies; a parameter without a default is a required option.
     """
-    from psemigroups.cli import _FIELDS, _parameters
+    from psemigroups.cli import _FIELDS
 
     function, renderers = COMMANDS[command]
     parser = argparse.ArgumentParser(
         prog=f"psg {command}", description=function.__doc__, argument_default=argparse.SUPPRESS
     )
     parser.add_argument("--gens", required=True)
-    taken = _parameters(function)
+    takes, needs = _job_fields(command)
     for key, (_, flags, _) in _FIELDS.items():
-        if key in taken:
-            parser.add_argument(*flags, required=taken[key], **_ARGPARSE.get(key, {}))
+        if key in takes:
+            parser.add_argument(*flags, required=key in needs, **_ARGPARSE.get(key, {}))
     formats = parser.add_mutually_exclusive_group()
     for key in renderers:
         formats.add_argument(f"--{key}", dest="format", action="store_const", const=key)

@@ -1,15 +1,25 @@
-"""The summary of ``tools/ab.py``, on synthetic ``bench/run.py`` result lines."""
+"""The summary of ``tools/ab.py``, on synthetic ``bench/run.py`` result lines, and
+the comparison of ``tools/same_output.py``, on synthetic digests."""
 
+import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "ab", Path(__file__).resolve().parents[1] / "tools" / "ab.py"
-)
-ab = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(ab)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ab = _tool("ab")
+same_output = _tool("same_output")
 
 METRICS = [
     {"name": "jobs_per_s", "unit": "jobs/s", "better": "higher", "bound": 0.2},
@@ -75,3 +85,42 @@ def test_ties_count_for_neither_side():
 def test_a_median_worse_than_the_bound_is_named(change, verdicts):
     rows = _rows([(100, 1.0)] * 10, [change] * 10)
     assert (rows["jobs_per_s"]["verdict"], rows["job_p50_ms"]["verdict"]) == verdicts
+
+
+def test_same_output_counts_every_differing_or_missing_digest():
+    assert same_output.differing(["a", "b", "c"], ["a", "b", "c"]) == []
+    assert same_output.differing(["a", "b", "c", "d"], ["a", "x", "c", "y"]) == [1, 3]
+    # a child that stopped early leaves its last jobs without a digest
+    assert same_output.differing(["a", "b", "c"], ["a"]) == [1, 2]
+    assert same_output.differing([], ["a"]) == [0]
+
+
+@pytest.mark.parametrize(
+    "change, code, lines",
+    [
+        (["1", "2", "3"], 0, ["jobs 3  differences 0"]),
+        (["1", "x", "y"], 1, ["jobs 3  differences 2", "first difference: hilbert --gens 3,5"]),
+        (["1", "2"], 1, ["jobs 3  differences 1", "first difference: batch -"]),
+    ],
+)
+def test_same_output_names_the_first_differing_argv(
+    capsys, monkeypatch, tmp_path, change, code, lines
+):
+    jobs = [["denumerant", "--gens", "3,5", "-n", "7"], ["hilbert", "--gens", "3,5"]]
+    jobs.append(["batch", "-"])
+    monkeypatch.setattr(same_output, "job_list", lambda tmp: jobs)
+    sides = {tmp_path / "parent": ["1", "2", "3"], tmp_path / "change": change}
+    monkeypatch.setattr(same_output, "digests", lambda checkout, _: sides[checkout])
+    for side in sides:
+        side.mkdir()
+    assert same_output.main([str(side) for side in sides]) == code
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_same_output_child_hashes_argv_exit_code_and_both_streams():
+    """One child runs this checkout's CLI and hashes each job's whole record."""
+    answer = ["denumerant", "--gens", "3,5", "-n", "7"]
+    error = ["denumerant", "--gens", "3,5", "-n", "-4"]
+    records = [[answer, 0, "0\n", ""], [error, 2, "", "error: n must be non-negative\n"]]
+    expected = [hashlib.sha256(json.dumps(record).encode()).hexdigest() for record in records]
+    assert same_output.digests(ROOT, [answer, error, answer]) == [*expected, expected[0]]
